@@ -3,14 +3,13 @@
 E16 gates the paper's *shapes* (growth exponents, bit-identical
 ``tuples_touched``) on sub-second instances; E17 gates the *engineering*
 claim of the columnar data plane on ≥1M-row frontiers.  Each workload
-runs five times on identical data — decoded plane (``encode=False``,
+runs four times on identical data — decoded plane (``encode=False``,
 the PR3 kernel), encoded plane with the ndarray frontier backend forced
-*off* (the PR4 row-loop/columnwise kernel), encoded plane with plan
-fusion forced *off* (the PR5 per-step spec loop), encoded plane as
-shipped (the array-of-int64 frontier engages per ``REPRO_BATCH_NDARRAY``,
-``auto`` by default; sharding per ``REPRO_SHARD``; plan fusion per
-``REPRO_FUSE``, auto = on), and encoded plane with the PR7 sharded
-worker-pool dispatch forced *on* — and must satisfy:
+*off* (the PR4 row-loop/columnwise kernel), encoded plane as shipped
+(the array-of-int64 frontier engages per ``REPRO_BATCH_NDARRAY``,
+``auto`` by default, and runs the fused block executor; sharding per
+``REPRO_SHARD``), and encoded plane with the PR7 sharded worker-pool
+dispatch forced *on* — and must satisfy:
 
 * **Plane equivalence** — identical result sets and bit-identical
   ``tuples_touched`` across all four runs (encoding is a bijection, the
@@ -100,35 +99,20 @@ SHARD_MIN_SPEEDUP = 1.5
 SHARD_GATE_MIN_CPUS = 4
 SHARD_GATE_MIN_WORKLOADS = 2
 
-#: The fuse-speedup floor (``encoded-nofuse`` vs ``encoded`` wall) is
-#: gated on the fd-chain workload at full size only: fdchain is the
-#: workload whose whole hot path is a dense-guard chain, i.e. the shape
-#: the composed-gather pipeline exists for.  Fusion needs no extra
-#: cores, so the gate applies on any host with numpy; the ratio is
-#: recorded per workload everywhere.  The reference 1-CPU container
-#: measures 1.30× on the warm fdchain full-size wall; the floor sits
-#: below that so scheduler jitter on a shared box cannot flip the gate.
-FUSE_MIN_SPEEDUP = 1.15
-FUSE_GATE_WORKLOAD = "fdchain"
-
-#: The five execution configurations every workload runs.  ``encoded``
+#: The four execution configurations every workload runs.  ``encoded``
 #: is the shipped kernel (ndarray frontier per REPRO_BATCH_NDARRAY, auto
-#: by default — engaged at every E17 size; sharding per REPRO_SHARD,
-#: which defaults to ``auto`` and stays single-worker on 1-CPU hosts;
-#: plan fusion per REPRO_FUSE, auto = on);
+#: by default — engaged at every E17 size, through the fused block
+#: executor; sharding per REPRO_SHARD, which defaults to ``auto`` and
+#: stays single-worker on 1-CPU hosts);
 #: ``encoded-ndoff`` pins the block backend *and* sharding off (the PR4
 #: row-loop/columnwise kernel) so the sweep itself certifies
-#: block-vs-row-loop count equality at scale; ``encoded-nofuse`` is the
-#: shipped configuration with plan fusion pinned off (the PR5 per-step
-#: spec loop) so the sweep certifies fused-vs-unfused bit-identity at
-#: full scale and records the fusion speedup; ``encoded-sharded`` forces
+#: block-vs-row-loop count equality at scale; ``encoded-sharded`` forces
 #: the PR7 sharded dispatch on at :func:`shard_worker_count` workers, so
 #: every sweep certifies shard-vs-single-worker bit-identity at full
 #: scale and records the measured shard speedup.
 PLANES = (
     "decoded",
     "encoded-ndoff",
-    "encoded-nofuse",
     "encoded",
     "encoded-sharded",
 )
@@ -276,10 +260,9 @@ def run_one(name: str, n: int, plane: str) -> dict:
 
     ``plane`` is one of :data:`PLANES`: ``decoded`` disables the codec,
     ``encoded-ndoff`` runs the encoded kernel with the ndarray frontier
-    backend (and sharding) pinned off, ``encoded-nofuse`` pins plan
-    fusion off (everything else shipped), ``encoded`` runs the shipped
-    configuration (``REPRO_BATCH_NDARRAY`` / ``REPRO_SHARD`` /
-    ``REPRO_FUSE`` env respected, all ``auto`` by default),
+    backend (and sharding) pinned off, ``encoded`` runs the shipped
+    configuration (``REPRO_BATCH_NDARRAY`` / ``REPRO_SHARD`` env
+    respected, both ``auto`` by default),
     ``encoded-sharded`` forces the sharded dispatch on at
     :func:`shard_worker_count` workers.  Each run times the query
     twice: the cold first query (lazy plan/pipeline/index compilation —
@@ -292,12 +275,9 @@ def run_one(name: str, n: int, plane: str) -> dict:
     encode = plane != "decoded"
     saved_mode = frontier_blocks.NDARRAY_MODE
     saved_shard = (frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS)
-    saved_fuse = frontier_fused.FUSE_MODE
     if plane == "encoded-ndoff":
         frontier_blocks.NDARRAY_MODE = "off"
         frontier_shard.SHARD_MODE = "off"
-    elif plane == "encoded-nofuse":
-        frontier_fused.FUSE_MODE = "off"
     elif plane == "encoded-sharded":
         frontier_shard.SHARD_MODE = "on"
         frontier_shard.SHARD_WORKERS = shard_worker_count()
@@ -336,7 +316,6 @@ def run_one(name: str, n: int, plane: str) -> dict:
         # measure the row-loop kernel twice.
         frontier_blocks.NDARRAY_MODE = saved_mode
         frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS = saved_shard
-        frontier_fused.FUSE_MODE = saved_fuse
     record = {
         "ingest_s": round(ingest, 4),
         "first_query_s": round(first_query, 4),
@@ -376,7 +355,7 @@ def _run_isolated(name: str, n: int, plane: str) -> dict:
 def run_workload(
     name: str, n: int, isolate: bool = True, reps: int = 1
 ) -> dict:
-    """One workload at one size, on all five planes, with equivalence
+    """One workload at one size, on all four planes, with equivalence
     asserts.
 
     The decoded run IS the PR3 kernel, the ``encoded-ndoff`` run IS the
@@ -435,12 +414,6 @@ def run_workload(
         record["wall_encoded_ndoff_s"] / max(record["wall_encoded_s"], 1e-9),
         2,
     )
-    # encoded-nofuse vs encoded: the generated-pipeline win over the
-    # per-step spec loop, everything else identical (shipped knobs).
-    record["fuse_speedup"] = round(
-        record["wall_encoded_nofuse_s"] / max(record["wall_encoded_s"], 1e-9),
-        2,
-    )
     # encoded vs encoded-sharded: only a speedup when REPRO_SHARD is not
     # forcing the "encoded" plane to shard too (default env: auto →
     # single-worker below the row threshold / on 1-CPU hosts).
@@ -477,7 +450,6 @@ def run_sweep(level: str = "full") -> dict:
                 f"  {key:<18} touched={workloads[key]['tuples_touched']:>9}"
                 f"  decoded={workloads[key]['wall_decoded_s']:>8.2f}s"
                 f"  ndoff={workloads[key]['wall_encoded_ndoff_s']:>8.2f}s"
-                f"  nofuse={workloads[key]['wall_encoded_nofuse_s']:>8.2f}s"
                 f"  encoded={workloads[key]['wall_encoded_s']:>8.2f}s"
                 f"  sharded={workloads[key]['wall_encoded_sharded_s']:>8.2f}s"
                 f"  speedup={workloads[key]['speedup']:>6.2f}x",
@@ -494,16 +466,8 @@ def run_sweep(level: str = "full") -> dict:
             "workers": shard_worker_count(),
             "cpu_count": cpus,
             "mode_env": config.get("REPRO_SHARD"),
-            "backend_env": config.get("REPRO_SHARD_BACKEND"),
             "min_speedup_required": SHARD_MIN_SPEEDUP,
             "speedup_gated": cpus >= SHARD_GATE_MIN_CPUS,
-        },
-        "fuse": {
-            "mode_env": config.get("REPRO_FUSE"),
-            "native_env": config.get("REPRO_FUSE_NATIVE"),
-            "native_active": frontier_fused.native_active(),
-            "min_speedup_required": FUSE_MIN_SPEEDUP,
-            "gate_workload": FUSE_GATE_WORKLOAD,
         },
     }
     if level == "full":
@@ -520,10 +484,6 @@ def run_sweep(level: str = "full") -> dict:
         # comparable across that fix).
         payload["overall_speedup_ndoff"] = round(total_dec / total_ndoff, 2)
         payload["overall_ndarray_speedup"] = round(total_ndoff / total_enc, 2)
-        total_nofuse = sum(
-            w["wall_encoded_nofuse_s"] for w in workloads.values()
-        )
-        payload["overall_fuse_speedup"] = round(total_nofuse / total_enc, 2)
         total_sharded = sum(
             w["wall_encoded_sharded_s"] for w in workloads.values()
         )
@@ -570,19 +530,6 @@ def main(argv: list[str]) -> int:
             failures.append(
                 f"{name}: speedup {record['speedup']}x < {floor}x"
             )
-    # Fuse-speedup floor: fdchain's whole hot path is a dense-guard
-    # chain — the composed-gather pipeline must win there on any host
-    # (fusion needs no extra cores).  Ratios on the other workloads are
-    # recorded but not gated: their hot paths fuse partially or not at
-    # all (choose depths, SM-joins, seeks).
-    fdchain_record = payload["workloads"][
-        f"{FUSE_GATE_WORKLOAD}_n{SIZES[FUSE_GATE_WORKLOAD]['full']}"
-    ]
-    if fdchain_record["fuse_speedup"] < FUSE_MIN_SPEEDUP:
-        failures.append(
-            f"fuse: {FUSE_GATE_WORKLOAD} fused speedup "
-            f"{fdchain_record['fuse_speedup']}x < {FUSE_MIN_SPEEDUP}x"
-        )
     # Shard-speedup floor: physically meaningless on <4-CPU hosts (a
     # worker pool cannot beat one core on one core), so report there and
     # gate only where hardware permits parallelism.

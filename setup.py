@@ -2,7 +2,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-khamis-ns16",
-    version="0.6.0",
+    version="0.7.0",
     description=(
         "Reproduction of Khamis-Ngo-Suciu (PODS'16): output-size bounds "
         "and worst-case-optimal join algorithms over FD lattices"
@@ -30,13 +30,6 @@ setup(
         # cross-check target of REPRO_LP_BACKEND=both.  Tier-1 tests pass
         # without it (see tests/test_lp_exact.py::test_importability_split).
         "scipy": ["scipy>=1.9"],
-        # The fused-pipeline hot primitives (dense gather+mask, sorted
-        # key join, mask compaction) JIT-compile through numba when
-        # REPRO_FUSE_NATIVE permits; without numba they run the
-        # bit-identical numpy fallbacks.  Import-guarded exactly like
-        # scipy — tier-1 passes without it (CI's no-scipy job also runs
-        # REPRO_FUSE_NATIVE=on with numba absent to prove degradation).
-        "native": ["numba>=0.57"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

@@ -2,7 +2,7 @@
 
 Nine PRs of engine growth rest on repo-specific *conventions*: every
 ``REPRO_*`` knob read goes through :mod:`repro.config`, every pool
-submit snapshots contextvars, scipy/numba only import behind guards,
+submit snapshots contextvars, scipy only imports behind guards,
 ``exec`` lives only in the codegen modules, errors speak the
 :mod:`repro.errors` taxonomy, and locked fields are written under their
 lock.  This package turns those conventions into machine-checked

@@ -214,17 +214,17 @@ def _handler_catches_import_error(handler: ast.ExceptHandler) -> bool:
 
 @register
 class OptionalDepGuard(Rule):
-    """``scipy``/``numba`` imports only inside guarded seams.
+    """``scipy`` imports only inside guarded seams.
 
-    The engine must import (and run: the no-scipy CI leg) without either
-    package, so their imports live either inside a function (a lazy
-    seam) or in a ``try:`` whose handler catches ``ImportError``.
+    The engine must import (and run: the no-scipy CI leg) without scipy,
+    so its imports live either inside a function (a lazy seam) or in a
+    ``try:`` whose handler catches ``ImportError``.
     """
 
     name = "optional-dep-guard"
-    description = "scipy/numba imports must sit behind a function or try/ImportError"
+    description = "scipy imports must sit behind a function or try/ImportError"
 
-    _OPTIONAL = frozenset({"scipy", "numba"})
+    _OPTIONAL = frozenset({"scipy"})
 
     def check(self, module: ModuleInfo, ctx: AnalysisContext) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

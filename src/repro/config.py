@@ -256,39 +256,7 @@ _DECLARATIONS: tuple[Knob, ...] = (
         description="auto-mode block-row threshold for sharding",
         consumers=("repro.engine.shard",),
     ),
-    Knob(
-        "REPRO_SHARD_BACKEND",
-        "choice",
-        default="thread",
-        choices=("thread", "process"),
-        description=(
-            "thread pool (numpy kernels release the GIL) or "
-            "multiprocessing + SharedMemory for guard-only plans"
-        ),
-        consumers=("repro.engine.shard",),
-    ),
-    # -- fused pipelines -----------------------------------------------
-    Knob(
-        "REPRO_FUSE",
-        "mode",
-        default="auto",
-        description=(
-            "fused plan pipelines: auto fuses wherever the block backend "
-            "runs, on additionally forces the block backend, off reverts "
-            "to the per-step spec loop"
-        ),
-        consumers=("repro.engine.fused",),
-    ),
-    Knob(
-        "REPRO_FUSE_NATIVE",
-        "mode",
-        default="auto",
-        description=(
-            "numba-jitted hot primitives when importable (auto/on; "
-            "degrades to numpy bit-identically), off forces pure numpy"
-        ),
-        consumers=("repro.engine.fused",),
-    ),
+    # -- block executor profiling --------------------------------------
     Knob(
         "REPRO_PROFILE_STEPS",
         "flag",
@@ -349,6 +317,20 @@ RETIRED: dict[str, str] = {
     "REPRO_ADMIT_EXACT_MAX": (
         "PR 8: every admission bound is certified on every path"
     ),
+    "REPRO_FUSE": (
+        "the fused pipeline is the only block executor; the per-step "
+        "spec loop (off) ran generic_join on fdchain 100k in 155-159 ms "
+        "vs 91-93 ms fused (best of 9 warm runs, 2-CPU host)"
+    ),
+    "REPRO_FUSE_NATIVE": (
+        "the numba kernel seam is deleted; numba was never installed, "
+        "so the seam never ran"
+    ),
+    "REPRO_SHARD_BACKEND": (
+        "shards run on threads only; the process+SharedMemory backend "
+        "ran the same fdchain 100k query in 202-212 ms vs 91-93 ms on "
+        "threads"
+    ),
 }
 
 
@@ -371,10 +353,18 @@ def get(name: str, environ: Mapping[str, str] | None = None, default=_UNSET):
     Unset or empty values yield the declared default — or ``default``
     when the caller passes one (for call sites whose fallback is not the
     knob's, e.g. the E17 bench's shard-worker heuristic).  Values
-    outside the declared domain raise :class:`ConfigError`.
+    outside the declared domain raise :class:`ConfigError`, and so does
+    any retired knob set non-empty in ``environ``: a stale setting must
+    fail loudly rather than silently run the surviving path.
     """
     entry = knob(name)
     source = os.environ if environ is None else environ
+    for retired, reason in RETIRED.items():
+        stale = source.get(retired)
+        if stale is not None and stale.strip():
+            raise ConfigError(
+                f"knob {retired} is retired but set to {stale!r}: {reason}"
+            )
     raw = source.get(name)
     if raw is None or raw.strip() == "":
         return entry.default_value() if default is _UNSET else default

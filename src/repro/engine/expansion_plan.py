@@ -30,12 +30,15 @@ the reference path (``repro.engine.reference``): one touch per guarded fd
 application (hit or miss) and one per UDF evaluation — the *measured work
 shapes are bit-identical*, only the constant factor drops.
 
-Batch execution has three backends, auto-selected per frontier size: the
-generated row-loop, the columnwise functional-map backend, and (encoded
-plans only) the array-of-int64 frontier backend of
-:mod:`repro.engine.frontier` (``execute_batch_ndarray``: int64 blocks +
-dangling masks, ``np.take``-style dense gathers, sort/searchsorted key
-joins, UDFs on masked-in rows only).  All three charge identical counts.
+Row-tuple batches run on the generated row-loop or, for large frontiers,
+the columnwise functional-map backend (with numpy unique-key dedup on
+large integer-keyed guard steps).  Encoded plans additionally run int64
+frontier blocks (:mod:`repro.engine.frontier`) through one block
+executor, ``execute_batch_ndarray``: the plan's generated pipeline from
+:mod:`repro.engine.fused` (dense gathers composed across consecutive
+guard steps, sort/searchsorted key joins, UDFs on masked-in rows only),
+hash-sharded across the thread pool of :mod:`repro.engine.shard` on large
+blocks.  Every path charges identical counts.
 """
 
 from __future__ import annotations
@@ -461,111 +464,18 @@ class ExpansionPlan:
         per-shard outputs bit-identically.  Dense guard steps gather
         through their flat table (out-of-range codes — values interned
         after the plan compiled — are misses); sparse guard steps run
-        sort/searchsorted key joins on the lexicographic void view; UDF
+        sort/searchsorted key joins on sorted key structures; UDF
         steps decode and evaluate only the masked-in rows.  Counter
         totals are bit-identical to the row-loop backend: each step
         charges exactly the rows alive when it runs.  ``step_alive``
         (optional list) receives each step's alive-row count (0 for
         steps short-circuited by a dead frontier).
 
-        Under ``REPRO_FUSE`` (``auto``/``on``, the default) the whole
-        spec list runs as one generated pipeline with consecutive dense
-        gathers composed into fused tables — same outputs, same counter
-        totals, same per-step counts, fewer passes (``REPRO_FUSE=off``
-        keeps this per-step loop).
+        The whole spec list runs as the plan's generated pipeline
+        (:func:`repro.engine.fused.compile_pipeline`), with consecutive
+        dense gathers composed into fused tables.
         """
-        if self.steps and _fused.fuse_engaged():
-            return self._fused_pipeline()(block, counter, step_alive)
-        np = _np
-        n = block.shape[0]
-        # zeros, not empty: appended cells of rows that dangle mid-plan
-        # are never *read as results*, but later guard steps do probe
-        # them vectorized — heap garbage there (e.g. a huge negative in
-        # a skipped UDF output cell) would fancy-index a table out of
-        # bounds.  Code 0 always probes safely.
-        out = np.zeros((n, len(self.out_schema)), dtype=np.int64)
-        ncols = block.shape[1]
-        if ncols:
-            out[:, :ncols] = block
-        mask = None
-        m = n
-        touched = 0
-        cursor = ncols
-        specs = self._ndarray_specs()
-        profiled = _fused.PROFILE_STEPS
-        for i, spec in enumerate(specs):
-            if m == 0:
-                if step_alive is not None:
-                    step_alive.extend((0,) * (len(specs) - i))
-                break
-            checkpoint()  # per plan step over the whole block
-            if profiled:
-                t0 = _fused.perf_counter()
-                rows0 = m
-            touched += m
-            if step_alive is not None:
-                step_alive.append(m)
-            kind = spec[0]
-            if kind == "udf":
-                _, positions, fn, width = spec
-                if mask is None:
-                    if positions:
-                        out[:, cursor] = np.fromiter(
-                            map(fn, *(out[:, p].tolist() for p in positions)),
-                            np.int64,
-                            count=n,
-                        )
-                    else:
-                        out[:, cursor] = np.fromiter(
-                            (fn() for _ in range(n)), np.int64, count=n
-                        )
-                else:
-                    alive = np.flatnonzero(mask)
-                    if positions:
-                        out[alive, cursor] = np.fromiter(
-                            map(
-                                fn,
-                                *(out[alive, p].tolist() for p in positions),
-                            ),
-                            np.int64,
-                            count=m,
-                        )
-                    else:
-                        out[alive, cursor] = np.fromiter(
-                            (fn() for _ in range(m)), np.int64, count=m
-                        )
-                cursor += 1
-                if profiled:
-                    _fused.profile_record(
-                        "udf", rows0, _fused.perf_counter() - t0
-                    )
-                continue
-            if kind == "dense":
-                _, pos, size, valid, images, width = spec
-                codes = out[:, pos]
-                if size:
-                    inrange = codes < size
-                    slot = np.where(inrange, codes, 0)
-                    hit = inrange & valid[slot]
-                    if width:
-                        out[:, cursor:cursor + width] = images[slot]
-                else:
-                    hit = np.zeros(n, dtype=bool)
-            else:
-                _, positions, struct, images, width = spec
-                hit, slot = _frontier.key_hits(struct, out, positions)
-                if width and images.shape[0]:
-                    out[:, cursor:cursor + width] = images[slot]
-            cursor += width
-            mask = hit if mask is None else mask & hit
-            m = int(np.count_nonzero(mask))
-            if profiled:
-                _fused.profile_record(
-                    spec[0], rows0, _fused.perf_counter() - t0
-                )
-        if counter is not None and touched:
-            counter.add(touched)
-        return out, mask
+        return self._fused_pipeline()(block, counter, step_alive)
 
     def _execute_columns(
         self, cols: list, n: int, counter=None, all_int=None

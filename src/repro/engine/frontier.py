@@ -3,8 +3,9 @@
 On the dictionary-encoded plane every frontier cell is a small non-negative
 int code, so a frontier of ``n`` rows over ``w`` attributes is exactly an
 ``(n, w)`` int64 matrix.  This module provides the block vocabulary the
-third batch backend (``ExpansionPlan.execute_batch_ndarray``) and the
-engines' frontier seams share:
+block executor (``ExpansionPlan.execute_batch_ndarray``, which runs the
+generated pipelines of :mod:`repro.engine.fused`) and the engines'
+frontier seams share:
 
 * **blocks** — ``rows_to_block`` / ``columns_to_block`` /
   ``block_to_rows`` convert between Python tuple frontiers and int64
@@ -13,10 +14,12 @@ engines' frontier seams share:
   (``None`` = every row alive); dead rows keep garbage cells that are
   never read;
 * **key joins** — multi-attribute guard probes and membership tests run
-  as sort/searchsorted joins over a *lexicographic void view*: rows cast
-  to big-endian int64 and reinterpreted as fixed-width byte strings
-  compare exactly like the corresponding key tuples (codes are
-  non-negative, so the sign bit never flips the byte order);
+  as sort/searchsorted joins over mixed-radix packed int64 keys (with a
+  lexicographic void-view fallback: rows cast to big-endian int64 and
+  reinterpreted as fixed-width byte strings compare exactly like the
+  corresponding key tuples, since codes are non-negative);
+* **shard partitioning and merge** — the row partitions and the
+  deterministic scatter-merge :mod:`repro.engine.shard` builds on;
 * **mode knobs** — ``REPRO_BATCH_NDARRAY`` (``auto``/``on``/``off``) and
   ``REPRO_BATCH_NDARRAY_MIN`` select when encoded plans route batches
   through the block backend.  ``auto`` engages above the row threshold;
@@ -33,7 +36,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from repro import config
-from repro.engine import fused as _fused
 from repro.engine.cancellation import checkpoint
 
 try:  # pragma: no cover - the image bakes numpy in
@@ -105,26 +107,25 @@ def ndarray_engaged(n: int) -> bool:
         return False
     if mode in _ON:
         return True
-    if _shard_forces_blocks() or _fused.fuse_forced_on():
+    if _shard_forces_blocks():
         return True
     return n >= NDARRAY_MIN_ROWS
 
 
 def ndarray_forced_on() -> bool:
     """Is the backend *forced* on (``REPRO_BATCH_NDARRAY=on``, or forced
-    transitively via ``REPRO_SHARD=on`` / ``REPRO_FUSE=on``)?  Callers
-    with extra engagement heuristics (e.g. generic join's determined-run
-    length) bypass them under force, so the differential variants and
-    the CI cross gate exercise the block path everywhere it can run.
-    Shards and pipelines only exist on blocks, so forcing either forces
-    blocks (unless blocks are themselves explicitly ``off``, which
-    wins)."""
+    transitively via ``REPRO_SHARD=on``)?  Callers with extra engagement
+    heuristics (e.g. generic join's determined-run length) bypass them
+    under force, so the differential variants and the CI cross gate
+    exercise the block path everywhere it can run.  Shards only exist
+    on blocks, so forcing them forces blocks (unless blocks are
+    themselves explicitly ``off``, which wins)."""
     if np is None:
         return False
     mode = active_mode()
     if mode in _OFF:
         return False
-    return mode in _ON or _shard_forces_blocks() or _fused.fuse_forced_on()
+    return mode in _ON or _shard_forces_blocks()
 
 
 def ndarray_roundtrip_engaged(n: int) -> bool:
@@ -294,7 +295,10 @@ def key_hits(struct, block, positions):
     if kind == "empty":
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     probes = _probe_array(struct, block, positions)
-    return _fused.sorted_lookup(sorted_keys, probes)
+    nk = sorted_keys.shape[0]
+    idx = np.searchsorted(sorted_keys, probes)
+    slot = np.minimum(idx, nk - 1)
+    return (idx < nk) & (sorted_keys[slot] == probes), slot
 
 
 def block_isin(block, positions, struct):

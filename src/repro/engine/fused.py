@@ -1,12 +1,10 @@
-"""Fused plan pipelines — compile the query, not the tuple.
+"""Fused plan pipelines — the block executor.
 
-The ndarray backend (PR 5) vectorized each plan *step*; E17 showed the
-remaining cost is what happens **between** steps: per-step Python
-dispatch over ``_ndarray_specs()``, an intermediate mask AND plus
-``count_nonzero`` per step, and a dense-chain frontier that is gathered
-k times when one composed gather would do.  This module removes all
-three, in the order the worst-case-optimal-join literature suggests —
-first compose, then compile:
+Every int64 frontier block an encoded plan runs goes through one
+exec-compiled function per plan, built here.  It applies the plan's
+step specs (``ExpansionPlan._ndarray_specs``) in order, with two
+constant-factor savings over interpreting them one by one — first
+compose, then compile:
 
 * **Gather-table composition** (:func:`compose_fused_specs`): a run of
   consecutive ``GUARD_DENSE`` steps whose key column is the run's entry
@@ -16,257 +14,45 @@ first compose, then compile:
   many of the run's steps that entry survives before dangling (capped at
   the run length).  One gather then replaces k gathers, one ``sv == k``
   compare replaces k mask ANDs, and ``min(sv+1, k)`` *is* the exact
-  per-row charge the unfused loop would have accumulated (each original
-  step still charges the rows alive when it runs — bit-identical
-  ``tuples_touched``).  Out-of-range codes (values interned after the
-  plan compiled) and fd-:data:`~repro.engine.expansion_plan.INCONSISTENT`
-  entries dangle exactly as before: both compose to ``surv`` short of
-  the run length.  Dead rows keep gathering the clipped slot-0 chain, so
-  even the never-read cells of the output block are bit-identical to the
-  step loop (the shard scatter-merge determinism contract).
-* **Generated pipelines** (:func:`compile_pipeline`): one exec-compiled
-  function per plan — mirroring the per-tuple executor codegen in
+  per-row charge of the k steps (each step charges the rows alive when
+  it runs — bit-identical ``tuples_touched``).  Out-of-range codes
+  (values interned after the plan compiled) and
+  fd-:data:`~repro.engine.expansion_plan.INCONSISTENT` entries dangle
+  exactly as in the row-loop: both compose to ``surv`` short of the run
+  length.  Dead rows keep gathering the clipped slot-0 chain, so every
+  written cell is per-row deterministic (the shard scatter-merge
+  contract).
+* **Generated pipelines** (:func:`compile_pipeline`): one function per
+  plan — mirroring the per-tuple executor codegen in
   :mod:`~repro.engine.expansion_plan` — that runs the whole fused spec
   list with no per-step dispatch, no dead-branch checks (mask-is-None
   and empty-table branches resolve at *codegen* time), and mask
-  short-circuiting baked in.  ``execute_batch_ndarray_local`` becomes a
-  thin call into the cached pipeline, so the shard backend and every
-  block seam (chain stage-2/3, SMA/CSMA SM-joins, generic BFS, LFTJ)
-  inherit fusion for free.
-* **An optional compiled-kernel seam**: the three hot primitives —
-  :func:`dense_probe` (dense gather+mask), :func:`sorted_lookup`
-  (searchsorted key join), :func:`compact` (mask compaction) — dispatch
-  to numba-jitted kernels under ``REPRO_FUSE_NATIVE`` when numba is
-  importable (an optional extra in ``setup.py``, import-guarded exactly
-  like scipy), and fall back to the numpy expressions bit-identically.
+  short-circuiting baked in.  ``execute_batch_ndarray_local`` is a thin
+  call into the cached pipeline, so the shard backend and every block
+  seam (chain stage-2/3, SMA/CSMA SM-joins, generic BFS, LFTJ) run
+  through it.
 
-Knobs follow the house pattern:
+``REPRO_PROFILE_STEPS=1`` records per-spec-kind wall time and row
+counts during block execution (:func:`profile_snapshot`), surfaced by
+``bench_e17_large_frontier.py``.
 
-* ``REPRO_FUSE`` — ``auto`` (default: fuse whenever the block backend
-  runs; fusion is a strict constant-factor win so auto means on), ``on``
-  (additionally *forces* the block backend everywhere it can run, like
-  ``REPRO_SHARD=on``), ``off`` (the per-step spec loop of PR 5).
-* ``REPRO_FUSE_NATIVE`` — ``auto`` (numba if importable), ``on`` (same;
-  the no-numba degradation to numpy stays graceful and is proved in
-  CI), ``off`` (pure numpy).
-* ``REPRO_PROFILE_STEPS=1`` — per-spec-kind wall time and row counts
-  accumulated during block execution (:func:`profile_snapshot`),
-  surfaced by ``bench_e17_large_frontier.py``.
-
-The differential suite (``tests/differential.py``) pins fused-on vs
-fused-off to bit-identical work profiles and order-independent result
-digests across all five engines, shard on and off; CI adds a tier-1 run
-under ``REPRO_FUSE=on`` and an E17 fused-on/off cross gate.
+The differential suite (``tests/differential.py``) pins the block
+executor against the row-loop backend: bit-identical work profiles
+across all five engines, shard on and off.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from time import perf_counter
 
 from repro import config
-from repro.errors import classify
+from repro.engine.cancellation import checkpoint
+from repro.engine.frontier import key_hits
 
 try:  # pragma: no cover - the image bakes numpy in
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None
-
-_ON = config.ON_VALUES
-_OFF = config.OFF_VALUES
-
-#: ``auto`` (fuse whenever blocks run), ``on`` (fuse + force blocks) or
-#: ``off`` (the per-step spec loop).  Mutable module state so the
-#: differential harness can force both modes.
-FUSE_MODE = config.get("REPRO_FUSE")
-
-#: ``auto``/``on`` (numba kernels when importable), ``off`` (numpy only).
-FUSE_NATIVE_MODE = config.get("REPRO_FUSE_NATIVE")
-
-#: Per-context override for the serving layer's degradation chain: one
-#: query's fallback stage runs with fusion off without touching the
-#: process-global knob other worker threads are using.
-_MODE_OVERRIDE: ContextVar[str | None] = ContextVar(
-    "repro_fuse_mode_override", default=None
-)
-
-
-def active_mode() -> str:
-    """The fuse mode in force for the current context."""
-    override = _MODE_OVERRIDE.get()
-    return FUSE_MODE if override is None else override
-
-
-@contextmanager
-def mode_override(mode: str):
-    """Force ``mode`` (``auto``/``on``/``off``) for the dynamic extent of
-    the block, in this thread/context only."""
-    token = _MODE_OVERRIDE.set(mode)
-    try:
-        yield
-    finally:
-        _MODE_OVERRIDE.reset(token)
-
-
-def fuse_engaged() -> bool:
-    """Does a block execution route through the generated pipeline?
-    ``auto`` means yes: fusion never changes counts or results, only the
-    constant factor, so there is no threshold to tune."""
-    if np is None:
-        return False
-    return active_mode() not in _OFF
-
-
-def fuse_forced_on() -> bool:
-    """Is fusion *forced* (``REPRO_FUSE=on``)?  Forcing fusion also
-    forces the block backend (via ``frontier.ndarray_forced_on``):
-    pipelines only exist on blocks, so the differential variants and the
-    CI cross gate exercise the fused path everywhere it can run."""
-    if np is None:
-        return False
-    return active_mode() in _ON
-
-
-# ----------------------------------------------------------------------
-# The optional compiled-kernel seam (REPRO_FUSE_NATIVE)
-# ----------------------------------------------------------------------
-
-_NUMBA_CHECKED = False
-_NUMBA = None  # the module when importable, else None
-_NATIVE_KERNELS: dict | None | bool = None  # dict once built, False if broken
-
-#: When numba imports but kernel compilation fails, the classified fault
-#: (an :class:`~repro.errors.EngineFault` with the original traceback as
-#: ``__cause__``) is kept here — the degradation to numpy is silent on
-#: the hot path but never *unobservable*.
-NATIVE_KERNEL_FAULT = None
-
-
-def _numba():
-    """Import-guarded numba, checked once (exactly the scipy pattern)."""
-    global _NUMBA_CHECKED, _NUMBA
-    if not _NUMBA_CHECKED:
-        _NUMBA_CHECKED = True
-        try:  # pragma: no cover - numba is an optional extra
-            import numba as _nb
-
-            _NUMBA = _nb
-        except ImportError:
-            _NUMBA = None
-    return _NUMBA
-
-
-def native_active() -> bool:
-    """Are the numba kernels in force?  ``off`` never; ``auto``/``on``
-    when numba imports and the kernels compile.  ``on`` without numba
-    degrades to pure numpy (proved in CI) — the seam is an accelerator,
-    not a dependency."""
-    return _native_kernels() is not None
-
-
-def _native_kernels():
-    global _NATIVE_KERNELS, NATIVE_KERNEL_FAULT
-    if FUSE_NATIVE_MODE in _OFF or np is None:
-        return None
-    if _NATIVE_KERNELS is None:
-        if _numba() is None:
-            _NATIVE_KERNELS = False
-        else:  # pragma: no cover - exercised only with numba installed
-            try:
-                _NATIVE_KERNELS = _build_native_kernels()
-            except Exception as exc:
-                # Degrade to the numpy fallbacks, but keep the classified
-                # fault observable instead of swallowing it.
-                NATIVE_KERNEL_FAULT = classify(exc, backend="fuse-native")
-                _NATIVE_KERNELS = False
-    return _NATIVE_KERNELS or None
-
-
-def _build_native_kernels() -> dict:  # pragma: no cover - needs numba
-    """Compile the three hot kernels.  Bodies replicate the numpy
-    expressions exactly under the code contract (cells are non-negative
-    int64 dictionary codes), so the fallback is bit-identical."""
-    numba = _numba()
-    njit = numba.njit(cache=False, nogil=True)
-
-    @njit
-    def dense_probe_nb(codes, size, valid):
-        n = codes.shape[0]
-        hit = np.empty(n, dtype=np.bool_)
-        slot = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            c = codes[i]
-            if c < size:
-                slot[i] = c
-                hit[i] = valid[c]
-            else:
-                slot[i] = 0
-                hit[i] = False
-        return hit, slot
-
-    @njit
-    def sorted_lookup_nb(sorted_keys, probes):
-        n = probes.shape[0]
-        nk = sorted_keys.shape[0]
-        hit = np.empty(n, dtype=np.bool_)
-        slot = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            idx = np.searchsorted(sorted_keys, probes[i])
-            s = idx if idx < nk else nk - 1
-            slot[i] = s
-            hit[i] = idx < nk and sorted_keys[s] == probes[i]
-        return hit, slot
-
-    @njit
-    def compact_nb(mask):
-        return np.flatnonzero(mask)
-
-    return {
-        "dense_probe": dense_probe_nb,
-        "sorted_lookup": sorted_lookup_nb,
-        "compact": compact_nb,
-    }
-
-
-def dense_probe(codes, size, valid):
-    """``(hit, slot)`` for a dense flat-table probe: ``slot`` is the code
-    clipped to slot 0 out of range, ``hit`` marks in-range codes whose
-    table entry is valid.  (``size`` is the table length; ``size == 0``
-    is handled by callers at codegen time.)"""
-    kernels = _native_kernels()
-    if kernels is not None and codes.dtype == np.int64:
-        return kernels["dense_probe"](codes, size, valid)
-    inrange = codes < size
-    slot = np.where(inrange, codes, 0)
-    return inrange & valid[slot], slot
-
-
-def sorted_lookup(sorted_keys, probes):
-    """``(hit, slot)`` for a searchsorted key join: first matching index
-    in ``sorted_keys`` per probe (clipped; meaningful only where
-    ``hit``).  The native kernel engages for int64 keys only — packed
-    void keys stay on numpy (numba has no void dtype)."""
-    kernels = _native_kernels()
-    if (
-        kernels is not None
-        and probes.dtype == np.int64
-        and sorted_keys.dtype == np.int64
-    ):
-        return kernels["sorted_lookup"](sorted_keys, probes)
-    nk = sorted_keys.shape[0]
-    idx = np.searchsorted(sorted_keys, probes)
-    slot = np.minimum(idx, nk - 1)
-    hit = (idx < nk) & (sorted_keys[slot] == probes)
-    return hit, slot
-
-
-def compact(mask):
-    """Alive-row indices of a boolean mask (``np.flatnonzero``)."""
-    kernels = _native_kernels()
-    if kernels is not None:
-        return kernels["compact"](mask)
-    return np.flatnonzero(mask)
 
 
 # ----------------------------------------------------------------------
@@ -325,13 +111,14 @@ def compose_fused_specs(specs, source_width: int):
 
     ``surv[c]`` is how many run steps entry code ``c`` survives (capped
     at ``nsteps``); ``images[c]`` is the full appended row gathered
-    through the clipped slot-0 chain — exactly the cells the per-step
-    loop writes, dangling rows included.  Runs of length 1 stay plain
-    ``dense`` specs.
+    through the clipped slot-0 chain — exactly the cells a plain
+    ``dense`` spec per step would write, dangling rows included.  Runs of
+    length 1 stay plain ``dense`` specs.
     """
     out: list = []
     cursor = source_width
-    run: list | None = None  # [entry_pos, run_cursor, size, surv, cols, k]
+    # [entry_pos, run_cursor, size, surv, cols, k, first spec]
+    run: list | None = None
 
     def flush():
         nonlocal run
@@ -368,7 +155,7 @@ def compose_fused_specs(specs, source_width: int):
                 if key is not None:
                     # Compose: probe this step's table with each entry's
                     # current chain value.  ``slot`` clips exactly like
-                    # the per-step loop, so dangled entries keep
+                    # a plain dense spec, so dangled entries keep
                     # following the deterministic slot-0 garbage chain.
                     inrange = key < size
                     slot = np.where(inrange, key, 0)
@@ -400,9 +187,8 @@ def compose_fused_specs(specs, source_width: int):
 # ----------------------------------------------------------------------
 
 def pipeline_key() -> tuple:
-    """Cache key for a plan's compiled pipeline.  Only the profiling
-    flag changes the *generated code* — the native seam dispatches
-    inside the primitives, so one pipeline serves both."""
+    """Cache key for a plan's compiled pipeline: only the profiling
+    flag changes the generated code."""
     return (bool(PROFILE_STEPS),)
 
 
@@ -411,11 +197,12 @@ def compile_pipeline(plan):
     list over an int64 block: ``pipeline(block, counter=None,
     step_alive=None) -> (out, mask)``.
 
-    The contract is ``ExpansionPlan.execute_batch_ndarray_local``'s,
-    bit-identically — same output block (dead cells included), same
-    mask, same counter total.  ``step_alive``, when a list is passed,
-    receives the alive-row count of every *original* plan step (fused
-    runs fan their per-step counts back out via a ``surv`` bincount;
+    Composition is invisible: the output block (dead cells included),
+    mask and counter total are those of applying the specs one step at
+    a time, each step charging the rows alive when it runs (the
+    row-loop's counts).  ``step_alive``, when a list is passed, receives
+    the alive-row count of every *original* plan step (fused runs fan
+    their per-step counts back out via a ``surv`` bincount;
     short-circuited steps append 0) — the generic join's determined-run
     seam uses it to keep per-depth stats exact.
 
@@ -423,11 +210,6 @@ def compile_pipeline(plan):
     still be ``None``, whether a table is empty, whether a step appends
     columns — none of it is re-checked per call.
     """
-    # Function-level imports: frontier imports this module at load time,
-    # so the reverse edge must stay out of module scope.
-    from repro.engine import frontier as _frontier
-    from repro.engine.cancellation import checkpoint as _checkpoint
-
     specs = plan._ndarray_specs()
     fused_specs = compose_fused_specs(specs, len(plan.source_schema))
     total_orig = len(specs)
@@ -435,15 +217,17 @@ def compile_pipeline(plan):
 
     ns: dict = {
         "np": np,
-        "checkpoint": _checkpoint,
-        "dense_probe": dense_probe,
-        "compact": compact,
-        "key_hits": _frontier.key_hits,
+        "checkpoint": checkpoint,
+        "key_hits": key_hits,
         "_prof": profile_record,
         "_pc": perf_counter,
     }
     w_out = len(plan.out_schema)
     ncols = len(plan.source_schema)
+    # zeros, not empty: appended cells of rows that dangle mid-plan are
+    # never read as results, but later guard steps probe them
+    # vectorized — heap garbage there could index a table out of
+    # bounds, while code 0 always probes safely.
     lines = [
         "def pipeline(block, counter=None, step_alive=None):",
         "    n = block.shape[0]",
@@ -499,7 +283,7 @@ def compile_pipeline(plan):
                         f"(fn{i}() for _ in range(n)), np.int64, count=n)"
                     )
             else:
-                lines.append("    alive = compact(mask)")
+                lines.append("    alive = np.flatnonzero(mask)")
                 if positions:
                     args = ", ".join(
                         f"out[alive, {p}].tolist()" for p in positions
@@ -528,10 +312,11 @@ def compile_pipeline(plan):
             if size:
                 ns[f"valid{i}"] = valid
                 ns[f"images{i}"] = images
-                lines.append(
-                    f"    hit, slot = dense_probe(out[:, {pos}], {size}, "
-                    f"valid{i})"
-                )
+                # Out-of-range codes clip to slot 0 and miss.
+                lines.append(f"    codes = out[:, {pos}]")
+                lines.append(f"    inr = codes < {size}")
+                lines.append("    slot = np.where(inr, codes, 0)")
+                lines.append(f"    hit = inr & valid{i}[slot]")
                 if width:
                     lines.append(
                         f"    out[:, {cursor}:{cursor + width}] = "

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.engine import frontier as frontier_blocks
-from repro.engine import fused as fused_pipelines
 from repro.engine import shard as frontier_shard
 from repro.engine.cancellation import checkpoint
 from repro.engine.database import Database
@@ -206,12 +205,11 @@ def generic_join(
                 # ``step_alive[j]`` is exactly the frontier size the
                 # per-depth path would have seen at ``depth + j``.
                 seg = 1
-                if fused_pipelines.fuse_engaged():
-                    while (
-                        seg < det_run[depth]
-                        and not verify_paths[depth + seg - 1]
-                    ):
-                        seg += 1
+                while (
+                    seg < det_run[depth]
+                    and not verify_paths[depth + seg - 1]
+                ):
+                    seg += 1
                 seg_plan = (
                     db.run_plan(
                         order[:depth],

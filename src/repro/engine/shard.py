@@ -18,31 +18,19 @@ Knobs (mirroring the ``REPRO_BATCH_NDARRAY`` pattern):
   the block backend on, since shards only exist on blocks), ``off``.
 * ``REPRO_SHARD_WORKERS`` — worker count (default ``os.cpu_count()``).
 * ``REPRO_SHARD_MIN`` — ``auto``-mode row threshold (default 65536).
-* ``REPRO_SHARD_BACKEND`` — ``thread`` (default; numpy kernels release
-  the GIL) or ``process`` (multiprocessing + shared-memory input blocks,
-  for scaling past the GIL / RAM; guard-only plans, see below).
 
-Thread workers run inside a :func:`contextvars.copy_context` snapshot of
-the submitting context, so the serving layer's cooperative-cancellation
+Workers are threads: the numpy kernels release the GIL.  They run
+inside a :func:`contextvars.copy_context` snapshot of the submitting
+context, so the serving layer's cooperative-cancellation
 hooks (:mod:`repro.engine.cancellation`), fault-injection hooks, and
 per-query mode overrides all propagate into every shard: a
 ``QueryTimeout`` raised at a shard's checkpoint surfaces after *all*
 shards have been joined (no leaked workers), deterministically as the
 lowest-shard-index error.
-
-Process workers cannot share the submitting context; they observe
-cancellation only at dispatch boundaries (the parent checkpoints before
-submitting and after joining).  The process path ships a sanitized plan
-spec (UDF steps never qualify: their callables close over the codec) and
-caches the rebuilt plan per worker, with the input block passed through
-:class:`multiprocessing.shared_memory.SharedMemory` so a shard never
-copies the frontier through a pipe.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -50,7 +38,6 @@ from contextvars import ContextVar, copy_context
 
 from repro import config
 from repro.engine import frontier
-from repro.engine import fused
 from repro.engine.cancellation import checkpoint
 
 try:  # pragma: no cover - the image bakes numpy in
@@ -73,9 +60,6 @@ SHARD_WORKERS = config.get("REPRO_SHARD_WORKERS")
 #: ``auto``-mode row threshold: below it the submit/join overhead beats
 #: any parallel win (a shard must amortize a pool handoff, ~100µs).
 SHARD_MIN_ROWS = config.get("REPRO_SHARD_MIN")
-
-#: ``thread`` or ``process`` (see the module docstring).
-SHARD_BACKEND = config.get("REPRO_SHARD_BACKEND")
 
 #: Per-context overrides: the serving layer's degradation chain disables
 #: sharding for one query's fallback stage without touching the global
@@ -296,8 +280,7 @@ def run_plan_sharded(plan, block, counter=None, step_alive=None):
     if k <= 1:
         return plan.execute_batch_ndarray_local(block, counter, step_alive)
     plan._ndarray_specs()  # compile once, outside the pool
-    if fused.fuse_engaged():
-        plan._fused_pipeline()  # likewise the generated pipeline
+    plan._fused_pipeline()  # likewise the generated pipeline
     positions = plan.shard_positions()
     indices = [
         idx for idx in frontier.hash_partition(block, positions, k) if len(idx)
@@ -305,13 +288,10 @@ def run_plan_sharded(plan, block, counter=None, step_alive=None):
     if len(indices) <= 1:
         return plan.execute_batch_ndarray_local(block, counter, step_alive)
     want_steps = step_alive is not None
-    if SHARD_BACKEND == "process" and process_plan_safe(plan):
-        results = _map_shards_process(plan, block, indices, want_steps)
-    else:
-        results = _map_shards(
-            _plan_shard,
-            [(plan, block[idx], want_steps) for idx in indices],
-        )
+    results = _map_shards(
+        _plan_shard,
+        [(plan, block[idx], want_steps) for idx in indices],
+    )
     parts = [
         (idx, out, mask, touched)
         for idx, (out, mask, touched, _) in zip(indices, results)
@@ -378,166 +358,3 @@ def block_isin(block, positions, struct):
         [(block[lo:hi], positions, struct) for lo, hi in ranges],
     )
     return np.concatenate(results)
-
-
-# ----------------------------------------------------------------------
-# The process backend (multiprocessing + shared-memory input blocks)
-# ----------------------------------------------------------------------
-
-_PROC_POOL = None
-_PROC_POOL_SIZE = 0
-_GUARD_TAGS = (0, 2)  # expansion_plan.GUARD, expansion_plan.GUARD_DENSE
-
-
-def process_plan_safe(plan) -> bool:
-    """Can ``plan`` cross a process boundary?  Guard-only encoded plans
-    qualify: their payloads are plain dict/list-of-int-tuples.  UDF steps
-    never do — the callables close over the codec, whose mid-run
-    interning cannot be mirrored back from a worker process."""
-    return plan.encoded and all(tag in _GUARD_TAGS for tag, _, _ in plan.steps)
-
-
-def _sanitized_steps(plan):
-    """Plan steps with fd-:data:`INCONSISTENT` sentinel entries dropped.
-
-    The sentinel is a bare ``object()`` whose identity cannot survive
-    pickling; the ndarray kernel already treats an inconsistent key
-    exactly like a missing one (both dangle), so dropping the entries
-    preserves the worker-side semantics bit-for-bit.
-    """
-    from repro.engine.expansion_plan import GUARD_DENSE, INCONSISTENT
-
-    steps = []
-    for tag, positions, payload in plan.steps:
-        if tag == GUARD_DENSE:
-            payload = [
-                None if entry is INCONSISTENT else entry for entry in payload
-            ]
-        else:
-            payload = {
-                key: image
-                for key, image in payload.items()
-                if image is not INCONSISTENT
-            }
-        steps.append((tag, positions, payload))
-    return tuple(steps)
-
-
-def _shutdown_proc_pool() -> None:
-    """atexit: join worker processes before interpreter teardown (the
-    executor's manager thread must not outlive module globals)."""
-    global _PROC_POOL
-    with _POOL_LOCK:
-        if _PROC_POOL is not None:
-            _PROC_POOL.shutdown(wait=True)
-            _PROC_POOL = None
-
-
-def _proc_pool(size: int):
-    global _PROC_POOL, _PROC_POOL_SIZE
-    import atexit
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with _POOL_LOCK:
-        if _PROC_POOL is None or _PROC_POOL_SIZE < size:
-            if _PROC_POOL is not None:
-                _PROC_POOL.shutdown(wait=True)
-            else:
-                atexit.register(_shutdown_proc_pool)
-            method = "fork" if "fork" in __import__(
-                "multiprocessing"
-            ).get_all_start_methods() else "spawn"
-            _PROC_POOL = ProcessPoolExecutor(
-                max_workers=size, mp_context=get_context(method)
-            )
-            _PROC_POOL_SIZE = size
-        return _PROC_POOL
-
-
-_PROC_PLAN_CACHE: dict = {}
-
-
-def _process_worker(spec_bytes, shm_name, shape, want_steps=False):
-    """Runs in a worker process: rebuild (or reuse) the plan, attach the
-    shared-memory input block, run the unsharded kernel, return the
-    result by value."""
-    from multiprocessing import shared_memory
-
-    from repro.engine.expansion_plan import ExpansionPlan
-
-    digest = hashlib.sha1(spec_bytes).digest()
-    plan = _PROC_PLAN_CACHE.get(digest)
-    if plan is None:
-        source_schema, out_schema, steps = pickle.loads(spec_bytes)
-        plan = ExpansionPlan(source_schema, out_schema, steps, encoded=True)
-        if len(_PROC_PLAN_CACHE) >= 64:
-            _PROC_PLAN_CACHE.clear()
-        _PROC_PLAN_CACHE[digest] = plan
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        block = np.ndarray(shape, dtype=np.int64, buffer=shm.buf).copy()
-    finally:
-        shm.close()
-    counter = _Counter()
-    steps = [] if want_steps else None
-    out, mask = plan.execute_batch_ndarray_local(block, counter, steps)
-    return out, mask, counter.tuples_touched, steps
-
-
-def _map_shards_process(plan, block, indices, want_steps=False):
-    """Dispatch plan shards to the process pool, inputs via shared
-    memory.  Cancellation is checked at the dispatch boundaries only
-    (hooks cannot cross the process boundary)."""
-    from multiprocessing import shared_memory
-
-    checkpoint()
-    spec_bytes = pickle.dumps(
-        (plan.source_schema, plan.out_schema, _sanitized_steps(plan)),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    pool = _proc_pool(active_workers())
-    futures, segments = [], []
-    try:
-        for idx in indices:
-            shard_block = np.ascontiguousarray(block[idx])
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, shard_block.nbytes)
-            )
-            segments.append(shm)
-            view = np.ndarray(
-                shard_block.shape, dtype=np.int64, buffer=shm.buf
-            )
-            view[...] = shard_block
-            futures.append(
-                # Process workers run in a fresh interpreter: contextvars
-                # cannot cross the boundary, so there is nothing to
-                # snapshot (worker state travels in spec_bytes instead).
-                pool.submit(  # repro-lint: disable=context-propagation
-                    _process_worker,
-                    spec_bytes,
-                    shm.name,
-                    shard_block.shape,
-                    want_steps,
-                )
-            )
-        results, first_error = [], None
-        for future in futures:
-            try:
-                results.append(future.result())
-            # Capture-then-re-raise, as in _map_shards above.
-            except BaseException as exc:  # noqa: BLE001  # repro-lint: disable=error-taxonomy
-                if first_error is None:
-                    first_error = exc
-                results.append(None)
-        if first_error is not None:
-            raise first_error
-    finally:
-        for shm in segments:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-    checkpoint()
-    return results

@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 from repro.core.planner import Planner
 from repro.engine import frontier
-from repro.engine import fused
 from repro.engine import shard as frontier_shard
 from repro.engine.cancellation import Deadline, checkpoint_scope
 from repro.engine.database import Database
@@ -79,43 +78,39 @@ from repro.serve.faults import FaultInjector
 ENGINES = ("auto", "generic", "lftj", "binary", "csma")
 
 #: The fixed tail of the degradation chain: stage label →
-#: (ndarray-mode, shard-mode, fuse-mode) overrides (``None`` = leave the
-#: configured knob alone).  The head depends on the shard configuration —
-#: see :func:`degradation_stages`.
+#: (ndarray-mode, shard-mode) overrides (``None`` = leave the configured
+#: knob alone).  The head depends on the shard configuration — see
+#: :func:`degradation_stages`.
 _ENCODED_STAGES = (
-    ("encoded-ndarray", None, "off", None),
-    ("encoded-nofuse", None, "off", "off"),
-    ("encoded-rows", "off", "off", "off"),
+    ("encoded-ndarray", None, "off"),
+    ("encoded-rows", "off", "off"),
 )
 
 
-def degradation_stages() -> tuple[
-    tuple[str, str | None, str | None, str | None], ...
-]:
+def degradation_stages() -> tuple[tuple[str, str | None, str | None], ...]:
     """The degradation chain for the current shard configuration, as
-    ``(label, ndarray_mode, shard_mode, fuse_mode)`` 4-tuples.
+    ``(label, ndarray_mode, shard_mode)`` 3-tuples.
 
     When the sharded backend can engage (``REPRO_SHARD`` not off and
     more than one worker configured), the full-speed first stage is
     ``encoded-sharded`` and its first fallback is the single-worker
     block backend (``encoded-ndarray`` with sharding forced off) — a
     shard-worker fault degrades to fewer moving parts, not straight to
-    the row loop.  The next fallback, ``encoded-nofuse``, keeps the
-    block backend but runs the per-step spec loop instead of the
-    generated pipelines (a fault in a compiled pipeline degrades to the
-    interpreted path before abandoning blocks).  Without shards the
-    chain starts at ``encoded-ndarray`` as before.  Every stage computes
-    bit-identical canonical rows (the kernel's differential contract).
+    the row loop.  Without shards the chain starts at
+    ``encoded-ndarray``.  Next come the encoded row loop
+    (``encoded-rows``, no blocks) and the decoded reference plane.
+    Every stage computes bit-identical canonical rows (the kernel's
+    differential contract).
     """
-    stages: list[tuple[str, str | None, str | None, str | None]] = []
+    stages: list[tuple[str, str | None, str | None]] = []
     if frontier_shard.shard_available():
-        stages.append(("encoded-sharded", None, None, None))
+        stages.append(("encoded-sharded", None, None))
     else:
-        stages.append(("encoded-ndarray", None, None, None))
-    for label, nd_mode, shard_mode, fuse_mode in _ENCODED_STAGES:
+        stages.append(("encoded-ndarray", None, None))
+    for label, nd_mode, shard_mode in _ENCODED_STAGES:
         if label != stages[0][0]:
-            stages.append((label, nd_mode, shard_mode, fuse_mode))
-    stages.append(("decoded-reference", "off", "off", "off"))
+            stages.append((label, nd_mode, shard_mode))
+    stages.append(("decoded-reference", "off", "off"))
     return tuple(stages)
 
 
@@ -410,7 +405,7 @@ class QueryService:
         canonical rows — the kernel's differential contract."""
         absorbed: list[dict] = []
         stages = degradation_stages()
-        for index, (label, mode, shard_mode, fuse_mode) in enumerate(stages):
+        for index, (label, mode, shard_mode) in enumerate(stages):
             stage_db = (
                 self._decoded_twin(tenant, db_name, db)
                 if label == "decoded-reference"
@@ -425,12 +420,7 @@ class QueryService:
                     if shard_mode
                     else nullcontext()
                 )
-                fuse_override = (
-                    fused.mode_override(fuse_mode)
-                    if fuse_mode
-                    else nullcontext()
-                )
-                with override, shard_override, fuse_override:
+                with override, shard_override:
                     relation, algorithm, touched = _run_engine(
                         engine, query, stage_db
                     )

@@ -111,20 +111,6 @@ def shard_forced(mode: str, workers: int | None = None):
         shard.SHARD_MODE, shard.SHARD_WORKERS = saved
 
 
-@contextmanager
-def fused_forced(mode: str):
-    """Temporarily force plan fusion ``on``/``off``/``auto``.  Forcing
-    ``on`` also forces the block backend: pipelines only exist on
-    blocks."""
-    from repro.engine import fused
-
-    saved = fused.FUSE_MODE
-    fused.FUSE_MODE = mode
-    try:
-        yield
-    finally:
-        fused.FUSE_MODE = saved
-
 # ----------------------------------------------------------------------
 # Randomized instance generators
 # ----------------------------------------------------------------------
@@ -452,25 +438,6 @@ _run_generic_sharded = _sharded_variant(_run_generic)
 _run_lftj_sharded = _sharded_variant(_run_lftj)
 
 
-def _fused_variant(runner: Callable) -> Callable:
-    """The same engine with plan fusion forced on (which transitively
-    forces the block backend) — every encoded batch runs through the
-    generated per-plan pipeline with composed gather tables."""
-
-    def run(query, db, schema):
-        with fused_forced("on"):
-            return runner(query, db, schema)
-
-    return run
-
-
-_run_chain_fused = _fused_variant(_run_chain)
-_run_sma_fused = _fused_variant(_run_sma)
-_run_csma_fused = _fused_variant(_run_csma)
-_run_generic_fused = _fused_variant(_run_generic)
-_run_lftj_fused = _fused_variant(_run_lftj)
-
-
 #: name → runner(query, db, schema) -> set | None (None = not applicable).
 ENGINES: dict[str, Callable] = {
     "binary": _run_binary,
@@ -496,11 +463,6 @@ ENGINES: dict[str, Callable] = {
     "csma-sharded-frontier": _run_csma_sharded,
     "generic-sharded-frontier": _run_generic_sharded,
     "lftj-sharded-frontier": _run_lftj_sharded,
-    "chain-fused": _run_chain_fused,
-    "sma-fused": _run_sma_fused,
-    "csma-fused": _run_csma_fused,
-    "generic-fused": _run_generic_fused,
-    "lftj-fused": _run_lftj_fused,
 }
 
 #: Engines that must be applicable (and agree) on every instance the
@@ -523,19 +485,13 @@ ENGINES: dict[str, Callable] = {
 #: merge must be invisible — same mandatory-coverage rule as the ndarray
 #: variants, and :func:`assert_shard_sweep_equivalence` additionally
 #: sweeps worker counts pinning ``tuples_touched``/digests bit-identical.
-#: The ``*-fused`` variants force the generated per-plan pipelines onto
-#: every encoded batch: composition and codegen must be invisible —
-#: same mandatory-coverage rule again, with
-#: :func:`assert_fusion_equivalence` pinning fused-on vs fused-off work
-#: profiles and digests bit-identical.
 MANDATORY_ENGINES = ("binary", "csma", "generic", "lftj",
                      "lftj-reference-expansion", "csma-exact-lp",
                      "generic-decoded-plane", "csma-decoded-plane",
                      "lftj-decoded-plane", "csma-ndarray-frontier",
                      "generic-ndarray-frontier", "lftj-ndarray-frontier",
                      "csma-sharded-frontier", "generic-sharded-frontier",
-                     "lftj-sharded-frontier", "csma-fused",
-                     "generic-fused", "lftj-fused")
+                     "lftj-sharded-frontier")
 
 
 def run_all_engines(query, db) -> dict[str, set]:
@@ -826,40 +782,6 @@ def assert_shard_sweep_equivalence(query, db, workers=(1, 2, 7)) -> None:
         f"sharded-vs-decoded work drift: {off_profile} != {dec_profile}"
     )
     assert dec_rows == off_rows
-
-
-def assert_fusion_equivalence(query, db) -> None:
-    """Fused pipelines ≡ the per-step spec loop, bit-identically.
-
-    Runs every engine's work profile on the encoded plane with fusion
-    forced off first (blocks on — the per-step loop of PR 5; running it
-    first interns any mid-run UDF values so the fused runs probe a
-    stable codec and the repr digests are well-defined), then with
-    fusion forced on, asserting identical ``tuples_touched`` everywhere
-    plus identical CSMA result digests.  Any drift means gather-table
-    composition or pipeline codegen changed the measured work shape or
-    the answer bytes, not just the constant factor.
-    """
-    encoded_db = db if db.encoded else Database(
-        list(db.relations.values()),
-        fds=db.fds,
-        udfs=list(db.udfs),
-        degree_bounds=db.degree_bounds,
-        encode=True,
-    )
-    schema = tuple(sorted(query.variables))
-    with fused_forced("off"), ndarray_forced("on"):
-        off_profile = engine_work_profile(query, encoded_db)
-        off_rows = _run_csma(query, encoded_db, schema)
-    with fused_forced("on"):
-        on_profile = engine_work_profile(query, encoded_db)
-        on_rows = _run_csma(query, encoded_db, schema)
-    assert on_profile == off_profile, (
-        f"fused-vs-unfused work drift: {on_profile} != {off_profile}"
-    )
-    assert result_digest(on_rows) == result_digest(off_rows), (
-        "fused-vs-unfused result digest drift"
-    )
 
 
 def assert_lp_backend_equivalence(query, db) -> None:

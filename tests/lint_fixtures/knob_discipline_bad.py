@@ -4,11 +4,11 @@ import os
 
 
 def raw_read():
-    return os.environ.get("REPRO_SHARD", "")
+    return os.environ.get("REPRO_SHARD_MIN", "")
 
 
 def raw_getenv():
-    return os.getenv("REPRO_FUSE")
+    return os.getenv("REPRO_SHARD")
 
 
 def raw_subscript():

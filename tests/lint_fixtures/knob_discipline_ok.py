@@ -10,7 +10,7 @@ def registry_read():
 
 
 def registry_probe():
-    return config.is_set("REPRO_FUSE")
+    return config.is_set("REPRO_SHARD")
 
 
 def env_write(value):

@@ -1,6 +1,6 @@
 """Violates optional-dep-guard: unguarded module-level optional imports."""
 
 import scipy.optimize
-from numba import njit
+from scipy.sparse import csr_matrix
 
-__all__ = ["scipy", "njit"]
+__all__ = ["scipy", "csr_matrix"]

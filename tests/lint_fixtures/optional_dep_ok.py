@@ -6,7 +6,7 @@ except ImportError:  # the no-scipy leg
     _opt = None
 
 
-def jit():
-    from numba import njit
+def linprog():
+    from scipy.optimize import linprog
 
-    return njit
+    return linprog

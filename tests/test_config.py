@@ -144,6 +144,16 @@ def test_unknown_and_retired_knobs_raise():
             config.knob(name)
 
 
+def test_retired_knob_set_in_the_environment_raises():
+    # A stale setting of a retired knob must not silently run whatever
+    # path survived it: every read fails, naming the stale knob.
+    for name in RETIRED:
+        with pytest.raises(ConfigError, match=name):
+            config.get("REPRO_SHARD", {name: "off"})
+        # Empty still means unset, as for live knobs.
+        assert config.get("REPRO_SHARD", {name: "  "}) == "auto"
+
+
 # ---------------------------------------------------------------------------
 # Defaults are bit-identical to the pre-registry scattered readers
 # ---------------------------------------------------------------------------
@@ -160,9 +170,6 @@ EXPECTED_DEFAULTS = {
     "REPRO_BATCH_NDARRAY_MIN": 4096,
     "REPRO_SHARD": "auto",
     "REPRO_SHARD_MIN": 65536,
-    "REPRO_SHARD_BACKEND": "thread",
-    "REPRO_FUSE": "auto",
-    "REPRO_FUSE_NATIVE": "auto",
     "REPRO_PROFILE_STEPS": False,
     "REPRO_LP_BACKEND": "auto",
     "REPRO_FAULTS": "",

@@ -1,22 +1,19 @@
-"""Fused plan pipelines: composition, codegen, and the knob couplings.
-
-Satellite coverage for the plan-fusion PR:
+"""The block executor: gather-table composition and generated pipelines.
 
 * **Gather-table composition** — runs of consecutive composable
   ``GUARD_DENSE`` steps collapse into one ``("fused", ...)`` spec whose
   ``surv`` table reproduces the per-step charges exactly; codes interned
   after the tables compiled (and rows keyed through fd-INCONSISTENT
-  entries) dangle through the fused chain just as they do through the
-  step loop.
-* **Pipeline bit-identity** — the generated pipeline's output block
-  (dead cells included), mask, counter total and per-step alive counts
-  are ``np.array_equal`` to the per-step spec loop on the same input.
-* **Engine-level equivalence** —
-  :func:`differential.assert_fusion_equivalence` over the whole fuzz
-  corpus including the mixed-type mid-run interning instances, plus the
-  generic join's fused determined-segment path on the fd-chain shape.
-* **The native seam** — ``REPRO_FUSE_NATIVE=on`` without numba degrades
-  to the numpy expressions (no error, same bits).
+  entries) dangle through the fused chain.
+* **Pipelines against the row-loop oracle** — on the same input, the
+  generated pipeline's alive rows equal the row-loop's
+  (``ExpansionPlan._execute_batch_rows``), its dead rows are exactly the
+  row-loop's ``None`` rows, and the counter totals agree; the per-step
+  alive counts sum to that total.  Whole engines agree with the row-loop
+  backend over the expansion-level corpus
+  (:func:`differential.assert_ndarray_backend_equivalence`), and the
+  generic join's determined-segment path keeps per-depth stats identical
+  to the row path.
 * **Profiling** — ``REPRO_PROFILE_STEPS`` accumulates per-spec-kind
   calls/rows/wall and resets on snapshot.
 """
@@ -29,15 +26,18 @@ np = pytest.importorskip("numpy")
 
 from differential import (
     all_instances,
-    assert_fusion_equivalence,
-    fused_forced,
+    assert_ndarray_backend_equivalence,
     mixed_type_midrun_instance,
     ndarray_forced,
 )
 from repro.datagen.large import fdchain_order, large_fdchain_workload
 from repro.engine import fused
 from repro.engine.database import Database
-from repro.engine.expansion_plan import GUARD_DENSE
+from repro.engine.expansion_plan import (
+    GUARD_DENSE,
+    INCONSISTENT,
+    ExpansionPlan,
+)
 from repro.engine.generic_join import generic_join
 from repro.engine.ops import WorkCounter
 from repro.engine.relation import Relation
@@ -63,19 +63,32 @@ def _chain_db(k: int = 3, size: int = 8) -> Database:
     return Database(relations, fds=FDSet(fds, ["x", *attrs]))
 
 
-def _run_both(plan, block):
-    """(out, mask, counter, step_alive) under fused off then on."""
-    results = []
-    for mode in ("off", "on"):
-        counter = WorkCounter()
-        step_alive: list[int] = []
-        with fused_forced(mode):
-            plan._fused_pipelines.clear()
-            out, mask = plan.execute_batch_ndarray_local(
-                block.copy(), counter, step_alive
-            )
-        results.append((out, mask, counter.tuples_touched, step_alive))
-    return results
+def _run_against_row_loop(plan, block):
+    """Run ``block`` through the block executor and the row-loop oracle;
+    assert they agree and return ``(mask, step_alive)``.
+
+    Alive rows must equal the row-loop's rows, dead rows must be exactly
+    its ``None`` rows, and the counter totals must match.  Each step
+    charges the rows alive when it runs, so the per-step alive counts
+    sum to the total."""
+    counter = WorkCounter()
+    step_alive: list[int] = []
+    out, mask = plan.execute_batch_ndarray_local(
+        block.copy(), counter, step_alive
+    )
+    row_counter = WorkCounter()
+    expected = plan._execute_batch_rows(
+        [tuple(row) for row in block.tolist()], row_counter
+    )
+    alive = [True] * len(expected) if mask is None else mask.tolist()
+    for row, is_alive, want in zip(out.tolist(), alive, expected):
+        if want is None:
+            assert not is_alive
+        else:
+            assert is_alive and tuple(row) == want
+    assert counter.tuples_touched == row_counter.tuples_touched
+    assert sum(step_alive) == counter.tuples_touched
+    return mask, step_alive
 
 
 # ----------------------------------------------------------------------
@@ -109,27 +122,22 @@ def test_midrun_interned_codes_dangle_through_fused_chain():
     """A code interned after the chain's tables compiled is out of range
     for the composed table too: ``surv`` reads 0 via the in-range guard,
     the row dangles, and the charge is exactly one touch (step 0 saw it
-    alive, step 1 never ran it) — bit-identical to the step loop."""
+    alive, step 1 never ran it) — as in the row-loop."""
     db = _chain_db(k=3)
     plan = db.expansion_plan(("x",), encoded=True)
     x_dict = db.codec.dictionary("x")
     fresh = x_dict.encode("fresh-value")
     stored = x_dict.encode(3)
     block = np.array([[fresh], [stored]], dtype=np.int64)
-    (out_off, mask_off, touched_off, alive_off), (
-        out_on, mask_on, touched_on, alive_on,
-    ) = _run_both(plan, block)
-    assert np.array_equal(out_off, out_on)
-    assert np.array_equal(mask_off, mask_on)
-    assert list(mask_on) == [False, True]
-    assert touched_off == touched_on
-    assert alive_off == alive_on == [2, 1, 1]
+    mask, step_alive = _run_against_row_loop(plan, block)
+    assert list(mask) == [False, True]
+    assert step_alive == [2, 1, 1]
 
 
 def test_inconsistent_entries_dangle_and_stop_the_survival_chain():
     """An fd-violating guard key compiles to an *invalid* dense entry:
-    rows keyed through it dangle in the fused run exactly where the step
-    loop would drop them, and never contribute later-step charges."""
+    rows keyed through it dangle in the fused run exactly where the
+    row-loop drops them, and never contribute later-step charges."""
     fds = FDSet([FD("x", "y"), FD("y", "z")], ["x", "y", "z"])
     relations = [
         # x=0 violates x→y (two images): INCONSISTENT, must dangle.
@@ -149,18 +157,13 @@ def test_inconsistent_entries_dangle_and_stop_the_survival_chain():
         [[db.codec.dictionary("x").encode(v)] for v in (0, 1, 2)],
         dtype=np.int64,
     )
-    (out_off, mask_off, touched_off, alive_off), (
-        out_on, mask_on, touched_on, alive_on,
-    ) = _run_both(plan, block)
-    assert np.array_equal(out_off, out_on)
-    assert np.array_equal(mask_off, mask_on)
-    assert list(mask_on) == [False, True, True]
-    assert touched_off == touched_on
-    assert alive_off == alive_on
+    mask, step_alive = _run_against_row_loop(plan, block)
+    assert list(mask) == [False, True, True]
+    assert step_alive == [3, 2]
 
 
 # ----------------------------------------------------------------------
-# Pipeline bit-identity (dead cells, masks, counts, step_alive)
+# Pipelines against the row-loop oracle
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(4))
@@ -168,64 +171,64 @@ def test_pipeline_block_bit_identity(seed):
     db = _chain_db(k=5, size=16)
     plan = db.expansion_plan(("x",), encoded=True)
     rng = np.random.default_rng(seed)
-    # Mix in out-of-range codes: dead rows must keep the same garbage
-    # cells as the step loop (the shard scatter-merge contract).
+    # Mix in out-of-range codes: they must dangle at the first step.
     block = rng.integers(0, 24, size=(64, 1), dtype=np.int64)
-    (out_off, mask_off, touched_off, alive_off), (
-        out_on, mask_on, touched_on, alive_on,
-    ) = _run_both(plan, block)
-    assert np.array_equal(out_off, out_on)
-    assert (mask_off is None) == (mask_on is None)
-    if mask_off is not None:
-        assert np.array_equal(mask_off, mask_on)
-    assert touched_off == touched_on
-    assert alive_off == alive_on
+    _run_against_row_loop(plan, block)
+    # Every written cell, dead rows included, is per-row deterministic
+    # (the shard scatter-merge contract): split runs rebuild the block.
+    whole, _ = plan.execute_batch_ndarray_local(block)
+    halves = [
+        plan.execute_batch_ndarray_local(part)[0]
+        for part in (block[:29], block[29:])
+    ]
+    assert np.array_equal(whole, np.concatenate(halves))
 
 
-def test_fuse_off_mode_bypasses_pipelines():
-    db = _chain_db(k=2)
-    plan = db.expansion_plan(("x",), encoded=True)
-    with fused_forced("off"):
-        plan._fused_pipelines.clear()
-        plan.execute_batch_ndarray_local(
-            np.zeros((4, 1), dtype=np.int64), WorkCounter()
-        )
-        assert not plan._fused_pipelines
-    with fused_forced("on"):
-        plan.execute_batch_ndarray_local(
-            np.zeros((4, 1), dtype=np.int64), WorkCounter()
-        )
-        assert plan._fused_pipelines
+def test_lone_dense_step_with_holes_matches_row_loop():
+    """A dense step with no run to compose into probes its table
+    directly: missing keys, an fd-INCONSISTENT key and out-of-range
+    codes all dangle."""
+    table = [None] * 64
+    for key in range(0, 64, 2):
+        table[key] = (key % 7, key % 3)
+    table[8] = INCONSISTENT
+    plan = ExpansionPlan(
+        ("a", "b"),
+        ("a", "b", "x", "y"),
+        ((GUARD_DENSE, (0,), table),),
+        encoded=True,
+    )
+    rng = np.random.default_rng(3)
+    block = rng.integers(0, 80, size=(200, 2), dtype=np.int64)
+    mask, _ = _run_against_row_loop(plan, block)
+    assert mask.any() and not mask.all()
 
-
-# ----------------------------------------------------------------------
-# Engine-level differential equivalence
-# ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fusion_differential(seed):
+    # World, guarded and mixed instances: the first two appear in no
+    # other block-vs-row-loop sweep.
     for query, db in all_instances(seed):
-        assert_fusion_equivalence(query, db)
+        assert_ndarray_backend_equivalence(query, db)
 
 
 def test_fusion_mixed_type_midrun():
-    # The nastiest corpus: mid-run interning must not perturb fused
-    # digests (the off leg runs first and pins the codec).
+    # Mid-run interning on extra seeds of the nastiest corpus.
     for seed in (7, 11):
         query, db = mixed_type_midrun_instance(seed)
-        assert_fusion_equivalence(query, db)
+        assert_ndarray_backend_equivalence(query, db)
 
 
 def test_generic_join_fused_segment_matches_per_depth():
     """The determined-run segment plan (one pipeline across all fd
     depths) must be invisible: same rows, same per-depth stats, same
-    counter total as the per-depth execution."""
+    counter total as the row path's per-depth execution."""
     query, db = large_fdchain_workload(4000, encode=True)
     order = fdchain_order()
 
     def run(mode):
         counter = WorkCounter()
-        with fused_forced(mode), ndarray_forced("on"):
+        with ndarray_forced(mode):
             rel, stats = generic_join(
                 query, db, order=order, fd_aware=True, counter=counter
             )
@@ -240,53 +243,6 @@ def test_generic_join_fused_segment_matches_per_depth():
 
 
 # ----------------------------------------------------------------------
-# The native seam degrades gracefully
-# ----------------------------------------------------------------------
-
-def test_native_seam_degrades_to_numpy_without_numba():
-    saved = (
-        fused.FUSE_NATIVE_MODE,
-        fused._NATIVE_KERNELS,
-        fused._NUMBA_CHECKED,
-        fused._NUMBA,
-    )
-    try:
-        fused.FUSE_NATIVE_MODE = "on"
-        fused._NATIVE_KERNELS = None
-        fused._NUMBA_CHECKED = False
-        fused._NUMBA = None
-        have_numba = fused._numba() is not None
-        # With numba absent the primitives must fall back silently.
-        codes = np.array([0, 2, 9], dtype=np.int64)
-        valid = np.array([True, False, True], dtype=bool)
-        hit, slot = fused.dense_probe(codes, 3, valid)
-        assert list(hit) == [True, True, False]
-        assert list(slot) == [0, 2, 0]
-        keys = np.array([1, 3, 5], dtype=np.int64)
-        hit, slot = fused.sorted_lookup(keys, np.array([3, 6], dtype=np.int64))
-        assert list(hit) == [True, False]
-        assert list(fused.compact(np.array([True, False, True]))) == [0, 2]
-        if not have_numba:
-            assert not fused.native_active()
-    finally:
-        (
-            fused.FUSE_NATIVE_MODE,
-            fused._NATIVE_KERNELS,
-            fused._NUMBA_CHECKED,
-            fused._NUMBA,
-        ) = saved
-
-
-def test_native_off_never_builds_kernels():
-    saved = fused.FUSE_NATIVE_MODE
-    try:
-        fused.FUSE_NATIVE_MODE = "off"
-        assert not fused.native_active()
-    finally:
-        fused.FUSE_NATIVE_MODE = saved
-
-
-# ----------------------------------------------------------------------
 # Per-step profiling
 # ----------------------------------------------------------------------
 
@@ -298,21 +254,13 @@ def test_profile_snapshot_accumulates_and_resets():
         fused.PROFILE_STEPS = True
         fused.profile_snapshot()  # clear anything previous tests left
         block = np.arange(8, dtype=np.int64).reshape(8, 1)
-        with fused_forced("on"):
-            plan._fused_pipelines.clear()
-            plan.execute_batch_ndarray_local(block, WorkCounter())
+        plan.execute_batch_ndarray_local(block, WorkCounter())
         snap = fused.profile_snapshot()
         assert "fused" in snap
         assert snap["fused"]["calls"] == 1
         assert snap["fused"]["rows"] == 8
         assert snap["fused"]["wall_s"] >= 0
         assert fused.profile_snapshot() == {}  # reset happened
-        # The unfused loop profiles per original spec kind.
-        with fused_forced("off"):
-            plan._fused_pipelines.clear()
-            plan.execute_batch_ndarray_local(block.copy(), WorkCounter())
-        snap = fused.profile_snapshot()
-        assert snap["dense"]["calls"] == 3
     finally:
         fused.PROFILE_STEPS = saved
         fused.profile_snapshot()

@@ -125,18 +125,15 @@ def test_key_join_matches_index_join(width):
 
 
 def test_engaged_respects_mode_and_threshold():
-    from repro.engine import fused, shard
+    from repro.engine import shard
 
     saved_mode, saved_min = frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS
     saved_shard = shard.SHARD_MODE
-    saved_fuse = fused.FUSE_MODE
     try:
-        # Pin sharding and fusion to non-forcing modes: REPRO_SHARD=on
-        # and REPRO_FUSE=on deliberately force the block backend on
-        # (shards and pipelines only exist on blocks), which would defeat
-        # the auto-threshold assertions below.
+        # Pin sharding to a non-forcing mode: REPRO_SHARD=on deliberately
+        # forces the block backend on (shards only exist on blocks),
+        # which would defeat the auto-threshold assertions below.
         shard.SHARD_MODE = "off"
-        fused.FUSE_MODE = "auto"
         frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS = "auto", 100
         assert not frontier.ndarray_engaged(99)
         assert frontier.ndarray_engaged(100)
@@ -153,19 +150,9 @@ def test_engaged_respects_mode_and_threshold():
         frontier.NDARRAY_MODE = "off"
         assert not frontier.ndarray_engaged(10 ** 6)
         assert not frontier.ndarray_forced_on()
-        # The fuse coupling mirrors it: REPRO_FUSE=on forces blocks,
-        # explicit blocks-off still wins.
-        shard.SHARD_MODE = "off"
-        frontier.NDARRAY_MODE, fused.FUSE_MODE = "auto", "on"
-        assert frontier.ndarray_engaged(1)
-        assert frontier.ndarray_forced_on()
-        frontier.NDARRAY_MODE = "off"
-        assert not frontier.ndarray_engaged(10 ** 6)
-        assert not frontier.ndarray_forced_on()
     finally:
         frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS = saved_mode, saved_min
         shard.SHARD_MODE = saved_shard
-        fused.FUSE_MODE = saved_fuse
 
 
 # ----------------------------------------------------------------------

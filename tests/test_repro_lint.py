@@ -51,8 +51,8 @@ def test_rule_silent_on_ok_fixture(rule, stem):
 def test_knob_discipline_message_kinds():
     findings = run_rule("knob-discipline", FIXTURES / "knob_discipline_bad.py")
     messages = "\n".join(f.message for f in findings)
-    assert "raw environment read of REPRO_SHARD" in messages
-    assert "raw environment read of REPRO_FUSE" in messages
+    assert "raw environment read of REPRO_SHARD_MIN;" in messages
+    assert "raw environment read of REPRO_SHARD;" in messages
     assert "raw environment read of REPRO_ENCODE" in messages
     assert "undeclared knob REPRO_NO_SUCH_KNOB" in messages
     assert "retired knob REPRO_ADMIT_EXACT_MAX" in messages
@@ -95,7 +95,7 @@ def test_line_pragma_suppresses_only_its_line():
     source = (
         "import os\n"
         "a = os.environ.get('REPRO_SHARD')  # repro-lint: disable=knob-discipline\n"
-        "b = os.environ.get('REPRO_FUSE')\n"
+        "b = os.environ.get('REPRO_SHARD_MIN')\n"
     )
     findings = Analysis(["knob-discipline"]).run_modules(
         [ModuleInfo("x.py", source)]
@@ -108,7 +108,7 @@ def test_file_pragma_suppresses_everywhere():
         "# repro-lint: disable-file=knob-discipline\n"
         "import os\n"
         "a = os.environ.get('REPRO_SHARD')\n"
-        "b = os.environ.get('REPRO_FUSE')\n"
+        "b = os.environ.get('REPRO_SHARD_MIN')\n"
     )
     findings = Analysis(["knob-discipline"]).run_modules(
         [ModuleInfo("x.py", source)]

@@ -224,7 +224,7 @@ def test_degradation_exhaustion_is_a_typed_fault():
     assert err.stage == "exhausted"
     assert len(err.extra["absorbed"]) == len(stages)
     assert [c["backend"] for c in err.extra["absorbed"]] == [
-        label for label, _, _, _ in stages
+        label for label, _, _ in stages
     ]
 
 
@@ -429,9 +429,9 @@ def sharding_forced(workers=2):
 def test_sharded_stage_heads_the_chain_and_answers_bit_identically():
     with sharding_forced(workers=2):
         stages = degradation_stages()
-        assert [label for label, _, _, _ in stages] == [
-            "encoded-sharded", "encoded-ndarray", "encoded-nofuse",
-            "encoded-rows", "decoded-reference",
+        assert [label for label, _, _ in stages] == [
+            "encoded-sharded", "encoded-ndarray", "encoded-rows",
+            "decoded-reference",
         ]
         service = build_demo_service(tenants=1, faults=quiet())
         with service:

@@ -9,8 +9,7 @@ Three layers of evidence that parallel execution cannot perturb results:
   completion order (a shuffled-completion fake executor drives the real
   dispatch seam out of submission order).
 * **Kernel equivalence**: ``execute_batch_ndarray`` sharded ≡ local for
-  empty shards, all-dangling shards, mid-run-interned dangling codes,
-  and the process backend (guard-only plans over shared memory).
+  empty shards, all-dangling shards and mid-run-interned dangling codes.
 * **The differential sweep**: every generated instance
   (:func:`tests.differential.all_instances`, including the
   mixed-type/mid-run-interning corpus) runs the full engine work profile
@@ -290,16 +289,6 @@ def test_shuffled_completion_order_is_invisible(monkeypatch):
         assert np.array_equal(out, ref_out)
         assert np.array_equal(mask, ref_mask)
         assert counter.tuples_touched == ref_counter.tuples_touched
-
-
-def test_process_backend_equivalence(monkeypatch):
-    plan = _guard_plan(inconsistent=True)
-    assert shard.process_plan_safe(plan)
-    assert not shard.process_plan_safe(_guard_plan(udf=True))
-    rng = np.random.default_rng(31)
-    block = rng.integers(0, 80, size=(2048, 2)).astype(np.int64)
-    monkeypatch.setattr(shard, "SHARD_BACKEND", "process")
-    _compare_sharded(plan, block, workers=2)
 
 
 def test_nested_sharding_is_suppressed():
