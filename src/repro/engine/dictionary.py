@@ -146,14 +146,6 @@ class Codec:
         dicts = self.dictionaries
         return tuple(dicts[a].values[c] for a, c in zip(schema, row))
 
-    def encode_tuples(
-        self, schema: Sequence[str], rows: Iterable[Sequence]
-    ) -> list[tuple]:
-        encoders = [self.dictionary(a).encode for a in schema]
-        return [
-            tuple(e(v) for e, v in zip(encoders, row)) for row in rows
-        ]
-
     def decode_tuples(
         self, schema: Sequence[str], rows: Iterable[Sequence]
     ) -> list[tuple]:

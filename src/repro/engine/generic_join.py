@@ -58,7 +58,8 @@ def generic_join(
     relations it can scan).
     """
     order = tuple(order) if order is not None else query.variables
-    if set(order) != set(query.variables):
+    if (len(order) != len(query.variables)
+            or set(order) != set(query.variables)):
         raise ValueError("order must be a permutation of the query variables")
     stats = GenericJoinStats(per_depth=[0] * len(order))
     encoded = db.encoded

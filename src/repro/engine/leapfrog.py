@@ -2,30 +2,38 @@
 
 The paper's industrial baseline: a worst-case optimal join that walks one
 variable at a time, intersecting the sorted children of per-relation trie
-iterators with a leapfrogging gallop.  Footnote 1's FD handling is
-included: a variable functionally determined by the bound prefix is bound
-by the expansion procedure instead of trie search.
+nodes with a leapfrogging gallop.  Footnote 1's FD handling is included:
+a variable functionally determined by the bound prefix is bound by the
+expansion procedure instead of trie search.
 
-This implementation is faithful to the published algorithm (trie
-iterators with open/up/seek/next, the leapfrog k-way intersection) rather
-than a re-skin of :mod:`repro.engine.generic_join` — the two serve as
-independent engines whose agreement is itself a test.  Execution rides on
-the shared positional substrate: prefixes are raw tuples over
-``order[:depth]``, footnote 1's FD binding goes through the compiled
-expansion plan for that prefix schema (closure membership and plans are
-derived once per depth, not per node), and the final UDF-consistency check
-is the compiled positional predicate.  ``expansion="reference"`` swaps the
-plan for the naive row-dict formulation
-(:func:`repro.engine.reference.reference_expand_tuple`); the differential
-suite runs both and asserts bit-identical results and work counts.
+This implementation is faithful to the published algorithm (the leapfrog
+k-way intersection: track the largest key seen, gallop the lowest level
+up to it) rather than a re-skin of :mod:`repro.engine.generic_join` — the
+two serve as independent engines whose agreement is itself a test.  The
+search runs over array levels, not iterator objects: every trie node
+carries its sorted keys and the comparison array the gallop bisects, and
+:func:`leapfrog_positions` returns, for each common key, its position in
+every level, so the walk steps straight into the matching children and
+emits the last variable's matches as one batch of rows.
+
+Execution rides on the shared positional substrate: prefixes are raw
+tuples over ``order[:depth]``, footnote 1's FD binding goes through the
+compiled expansion plan for that prefix schema (closure membership and
+plans are derived once per depth, not per node), and the final
+UDF-consistency check is the compiled positional predicate.
+``expansion="reference"`` swaps the plan for the naive row-dict
+formulation (:func:`repro.engine.reference.reference_expand_tuple`); the
+differential suite runs both and asserts bit-identical results and work
+counts.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from repro.engine.cancellation import checkpoint
@@ -34,14 +42,19 @@ from repro.engine.ops import WorkCounter
 from repro.engine.relation import Relation
 from repro.query.query import Query
 
+#: The node below a relation's last attribute: no keys, no children.
+_LEAF = ((), (), ())
+
 
 class TrieIndex:
-    """A sorted nested-dict trie over a relation in a fixed attribute order.
+    """A sorted trie over a relation in a fixed attribute order.
 
-    ``int_keys=True`` (the dictionary-encoded plane) declares every level
-    key a plain int: levels sort and seek on the codes directly, skipping
-    the heterogeneous ``_sort_key`` wrapper — no per-comparison tuple
-    allocation, and ``seek`` bisects the key list itself.
+    Every node is a ``(keys, cmp, children)`` triple: the level's distinct
+    keys in sorted order, the comparison array the leapfrog search
+    bisects, and the child nodes aligned with ``keys``.  ``int_keys=True``
+    (the dictionary-encoded plane) declares every key a plain int, so the
+    comparison array *is* the key list.  Otherwise it is the keys'
+    ``_sort_key`` array, built once with the node.
     """
 
     def __init__(
@@ -54,27 +67,27 @@ class TrieIndex:
             )
         self.order = order
         self.int_keys = int_keys
-        self.key_fn = _identity if int_keys else _sort_key
         positions = relation.positions(order)
         root: dict = {}
         for t in relation.tuples:
             node = root
             for p in positions:
                 node = node.setdefault(t[p], {})
-        self._sorted: dict[int, dict] = {}
-        self.root = self._sort(root)
+        self.root = self._freeze(root)
 
-    def _sort(self, node: dict) -> dict:
-        """Recursively replace dicts by (sorted keys, children) pairs."""
-        keys = sorted(node) if self.int_keys else sorted(node, key=_sort_key)
-        return {
-            "keys": keys,
-            "children": {k: self._sort(node[k]) for k in keys},
-        }
-
-
-def _identity(value):
-    return value
+    def _freeze(self, node: dict) -> tuple:
+        """Recursively replace dicts by ``(keys, cmp, children)`` nodes."""
+        if not node:
+            return _LEAF
+        if self.int_keys:
+            keys = cmp = sorted(node)
+        else:
+            pairs = sorted(
+                zip(map(_sort_key, node), node), key=itemgetter(0)
+            )
+            cmp = [c for c, _ in pairs]
+            keys = [k for _, k in pairs]
+        return keys, cmp, [self._freeze(node[k]) for k in keys]
 
 
 def _sort_key(value):
@@ -105,94 +118,42 @@ def _sort_key(value):
     return (type(value).__name__, value)
 
 
-@dataclass
-class TrieIterator:
-    """Veldhuizen's linear iterator interface over one trie level."""
+def leapfrog_positions(levels: Sequence[Sequence]) -> list[tuple[int, tuple]]:
+    """The k-way leapfrog over sorted, duplicate-free comparison arrays.
 
-    index: TrieIndex
-    depth: int = -1
-    path: list = field(default_factory=list)  # stack of node dicts
-    positions: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.path = [self.index.root]
-        self.positions = []
-
-    # -- vertical moves -------------------------------------------------
-    def open(self) -> None:
-        node = self.path[-1]
-        keys = node["keys"]
-        if not keys:
-            raise RuntimeError("open() on empty level")
-        self.path.append(node["children"][keys[0]])
-        self.positions.append(0)
-        self.depth += 1
-
-    def up(self) -> None:
-        self.path.pop()
-        self.positions.pop()
-        self.depth -= 1
-
-    # -- horizontal moves ------------------------------------------------
-    def key(self):
-        parent = self.path[-2]
-        return parent["keys"][self.positions[-1]]
-
-    def at_end(self) -> bool:
-        parent = self.path[-2]
-        return self.positions[-1] >= len(parent["keys"])
-
-    def next(self) -> None:
-        parent = self.path[-2]
-        self.positions[-1] += 1
-        if not self.at_end():
-            self.path[-1] = parent["children"][parent["keys"][self.positions[-1]]]
-
-    def seek(self, target) -> None:
-        """Advance to the least key >= target (galloping via bisect).
-
-        Heterogeneous levels bisect a *cached* sort-key array, built once
-        per node on its first seek and stored on the (shared) node dict —
-        previously the ``[_sort_key(k) for k in keys]`` list was rebuilt
-        on every seek, making the decoded-plane run seek-bound on wide
-        levels (O(width) per seek instead of O(log width)).
-        """
-        parent = self.path[-2]
-        keys = parent["keys"]
-        if self.index.int_keys:
-            lo = bisect.bisect_left(keys, target, self.positions[-1])
-        else:
-            skeys = parent.get("skeys")
-            if skeys is None:
-                skeys = parent["skeys"] = [_sort_key(k) for k in keys]
-            lo = bisect.bisect_left(
-                skeys, _sort_key(target), self.positions[-1]
-            )
-        self.positions[-1] = lo
-        if not self.at_end():
-            self.path[-1] = parent["children"][keys[lo]]
-
-
-def leapfrog_intersection(iterators: list[TrieIterator], emit) -> None:
-    """The k-way leapfrog: emit every key present in all iterators."""
-    if any(it.at_end() for it in iterators):
-        return
-    key_fn = iterators[0].index.key_fn
-    iterators = sorted(iterators, key=lambda it: key_fn(it.key()))
+    Returns one ``(emitter, positions)`` pair per key common to every
+    level, in ascending key order: ``positions[j]`` is the key's index in
+    ``levels[j]``, and ``emitter`` is the level whose turn it was when the
+    key matched (the representative the search emits when ``==``-equal
+    keys differ in type).  The levels rotate in order of their first key;
+    each turn gallops the current level (``bisect_left`` from its position)
+    up to ``x_max``, the largest key any level holds.
+    """
+    for level in levels:
+        if not level:
+            return []
+    k = len(levels)
+    ring = sorted(range(k), key=lambda j: levels[j][0])
+    pos = [0] * k
+    out: list[tuple[int, tuple]] = []
+    x_max = levels[ring[-1]][0]
     p = 0
     while True:
-        lowest = iterators[p]
-        highest = iterators[p - 1]
-        if key_fn(lowest.key()) == key_fn(highest.key()):
-            emit(lowest.key())
-            lowest.next()
-            if lowest.at_end():
-                return
+        j = ring[p]
+        level = levels[j]
+        i = pos[j]
+        if level[i] == x_max:
+            out.append((j, tuple(pos)))
+            i += 1
         else:
-            lowest.seek(highest.key())
-            if lowest.at_end():
-                return
-        p = (p + 1) % len(iterators)
+            i = bisect_left(level, x_max, i)
+        if i == len(level):
+            return out
+        pos[j] = i
+        x_max = level[i]
+        p += 1
+        if p == k:
+            p = 0
 
 
 @dataclass
@@ -220,7 +181,8 @@ def leapfrog_triejoin(
     observationally identical.
     """
     order = tuple(order) if order is not None else query.variables
-    if set(order) != set(query.variables):
+    if (len(order) != len(query.variables)
+            or set(order) != set(query.variables)):
         raise ValueError("order must be a permutation of the query variables")
     if expansion not in ("plan", "reference"):
         raise ValueError(f"unknown expansion substrate {expansion!r}")
@@ -233,19 +195,19 @@ def leapfrog_triejoin(
     # decoded-value specification the differential suite compares against.
     encoded = db.encoded and not use_reference
     stats = LeapfrogStats()
-    tries: dict[str, TrieIndex] = {}
-    for atom in query.atoms:
-        source = db.runtime(atom.name) if encoded else db.relations[atom.name]
-        tries[atom.name] = TrieIndex(source, order, int_keys=encoded)
-    # For each variable: atoms whose trie has a level for it, and the level.
-    var_atoms: dict[str, list[str]] = {
-        v: [
-            atom.name
-            for atom in query.atoms
-            if v in atom.varset
-        ]
-        for v in order
-    }
+    roots = [
+        TrieIndex(
+            db.runtime(atom.name) if encoded else db.relations[atom.name],
+            order,
+            int_keys=encoded,
+        ).root
+        for atom in query.atoms
+    ]
+    # For each depth: the atoms (by index) whose trie has a level for it.
+    var_atoms = [
+        [a for a, atom in enumerate(query.atoms) if var in atom.varset]
+        for var in order
+    ]
     n_vars = len(order)
     # Per-depth static data: every prefix at depth d has schema
     # order[:d], so closure membership and the expansion plan are derived
@@ -280,15 +242,17 @@ def leapfrog_triejoin(
         # The plan appends exactly {var}: extended IS prefix + (value,).
         return None if extended is None else (extended[depth],)
 
-    def descend(depth: int, prefix: tuple,
-                open_iters: dict[str, TrieIterator]) -> None:
+    def emit(rows: list[tuple]) -> None:
+        results.extend(
+            rows if consistent is None else filter(consistent, rows)
+        )
+
+    def descend(depth: int, prefix: tuple, nodes: list) -> None:
+        """Extend ``prefix`` by ``order[depth]``; ``nodes[a]`` is atom
+        ``a``'s trie node under the prefix."""
         checkpoint()  # per-node deadline/fault check-in
-        if depth == n_vars:
-            if consistent is None or consistent(prefix):
-                results.append(prefix)
-            return
-        var = order[depth]
-        names = var_atoms[var]
+        atoms = var_atoms[depth]
+        last = depth == n_vars - 1
         if determined[depth]:
             bound = bind_determined(depth, prefix)
             stats.tuples_touched += 1
@@ -296,54 +260,43 @@ def leapfrog_triejoin(
                 return
             (value,) = bound
             # Verify against each trie having this level.
-            next_iters = {}
-            ok = True
-            for name in names:
-                it = open_iters[name]
-                kf = it.index.key_fn
-                it.open()
-                it.seek(value)
-                if it.at_end() or kf(it.key()) != kf(value):
-                    it.up()
-                    ok = False
-                    break
-                next_iters[name] = it
-            if ok:
-                descend(depth + 1, prefix + (value,), open_iters)
-            for name in reversed(list(next_iters)):
-                open_iters[name].up()
+            target = value if encoded else _sort_key(value)
+            nodes = list(nodes)
+            for a in atoms:
+                _, cmp, children = nodes[a]
+                i = bisect_left(cmp, target)
+                if i == len(cmp) or cmp[i] != target:
+                    return
+                nodes[a] = children[i]
+            if last:
+                emit([prefix + (value,)])
+            else:
+                descend(depth + 1, prefix + (value,), nodes)
             return
-        if not names:
+        if not atoms:
             raise ValueError(
-                f"variable {var!r} is in no atom; requires fd_aware=True"
+                f"variable {order[depth]!r} is in no atom; "
+                "requires fd_aware=True"
             )
-        # Open this level on every participating trie and leapfrog.
-        for name in names:
-            open_iters[name].open()
-        matches: list = []
-        leapfrog_intersection(
-            [open_iters[name] for name in names], matches.append
-        )
+        levels = [nodes[a] for a in atoms]
+        matches = leapfrog_positions([cmp for _, cmp, _ in levels])
         stats.tuples_touched += len(matches)
-        for value in matches:
-            # Re-position every iterator at the matched key.
-            for name in names:
-                it = open_iters[name]
-                # reset to level start then seek (positions may have moved).
-                it.positions[-1] = 0
-                parent = it.path[-2]
-                it.path[-1] = parent["children"][parent["keys"][0]]
-                it.seek(value)
-                stats.seeks += 1
-            descend(depth + 1, prefix + (value,), open_iters)
-        for name in reversed(names):
-            open_iters[name].up()
+        stats.seeks += len(matches) * len(atoms)
+        keys = [node[0] for node in levels]
+        if last:
+            emit([prefix + (keys[e][at[e]],) for e, at in matches])
+            return
+        for e, at in matches:
+            below = list(nodes)
+            for a, node, i in zip(atoms, levels, at):
+                below[a] = node[2][i]
+            descend(depth + 1, prefix + (keys[e][at[e]],), below)
 
-    open_iters = {
-        atom.name: TrieIterator(tries[atom.name]) for atom in query.atoms
-    }
     if all(len(db[atom.name]) for atom in query.atoms):
-        descend(0, (), open_iters)
+        if n_vars:
+            descend(0, (), roots)
+        else:
+            emit([()])
     if encoded:
         results = db.decode_tuples(order, results)
-    return Relation("Q", order, results), stats
+    return Relation("Q", order, results, distinct=True), stats

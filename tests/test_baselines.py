@@ -40,6 +40,10 @@ class TestGenericJoin:
         with pytest.raises(ValueError):
             generic_join(triangle, triangle_db, order=("x", "y"))
 
+    def test_repeated_variable_order(self, triangle, triangle_db):
+        with pytest.raises(ValueError, match="permutation"):
+            generic_join(triangle, triangle_db, order=("x", "y", "z", "x"))
+
     def test_matches_product_bound(self, triangle):
         db = product_database(triangle, {"x": 3, "y": 4, "z": 5})
         out, _ = generic_join(triangle, db)
