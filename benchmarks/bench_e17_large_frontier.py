@@ -5,7 +5,7 @@ E16 gates the paper's *shapes* (growth exponents, bit-identical
 claim of the columnar data plane on ≥1M-row frontiers.  Each workload
 runs four times on identical data — decoded plane (``encode=False``,
 the PR3 kernel), encoded plane with the ndarray frontier backend forced
-*off* (the PR4 row-loop/columnwise kernel), encoded plane as shipped
+*off* (the generated row-loop kernel), encoded plane as shipped
 (the array-of-int64 frontier engages per ``REPRO_BATCH_NDARRAY``,
 ``auto`` by default, and runs the fused block executor; sharding per
 ``REPRO_SHARD``), and encoded plane with the PR7 sharded worker-pool
@@ -104,8 +104,8 @@ SHARD_GATE_MIN_WORKLOADS = 2
 #: by default — engaged at every E17 size, through the fused block
 #: executor; sharding per REPRO_SHARD, which defaults to ``auto`` and
 #: stays single-worker on 1-CPU hosts);
-#: ``encoded-ndoff`` pins the block backend *and* sharding off (the PR4
-#: row-loop/columnwise kernel) so the sweep itself certifies
+#: ``encoded-ndoff`` pins the block backend *and* sharding off (the
+#: generated row-loop kernel) so the sweep itself certifies
 #: block-vs-row-loop count equality at scale; ``encoded-sharded`` forces
 #: the PR7 sharded dispatch on at :func:`shard_worker_count` workers, so
 #: every sweep certifies shard-vs-single-worker bit-identity at full

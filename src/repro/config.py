@@ -81,6 +81,8 @@ class Knob:
     default_factory: Callable[[], object] | None = None
     default_doc: str | None = None
     choices: tuple[str, ...] = ()
+    #: Smallest accepted value of an ``int`` knob (``None`` = unbounded).
+    minimum: int | None = None
     description: str = ""
     #: The module(s) consuming the knob — documentation only.
     consumers: tuple[str, ...] = ()
@@ -105,6 +107,8 @@ class Knob:
             return " / ".join(self.choices)
         if self.kind == "flag":
             return "on / off"
+        if self.minimum is not None:
+            return f"{self.kind} ≥ {self.minimum}"
         return self.kind
 
     def parse(self, raw: str):
@@ -115,11 +119,16 @@ class Knob:
             return self.default_value()
         if self.kind == "int":
             try:
-                return int(token)
+                value = int(token)
             except ValueError:
                 raise ConfigError(
                     f"{self.name} expects an integer, got {raw!r}"
                 ) from None
+            if self.minimum is not None and value < self.minimum:
+                raise ConfigError(
+                    f"{self.name} must be >= {self.minimum}, got {raw!r}"
+                )
+            return value
         token = token.lower()
         if self.kind == "mode":
             if token not in _MODE_TOKENS:
@@ -165,6 +174,7 @@ _DECLARATIONS: tuple[Knob, ...] = (
         "REPRO_PLAN_CACHE_MAX",
         "int",
         default=512,
+        minimum=0,
         description=(
             "LRU cap shared by the per-database compiled-plan caches "
             "(tuple/relation plans, guard lookups, udf filters)"
@@ -182,36 +192,6 @@ _DECLARATIONS: tuple[Knob, ...] = (
         consumers=("repro.engine.relation",),
     ),
     # -- batch backends ------------------------------------------------
-    Knob(
-        "REPRO_BATCH_COLUMN_MIN",
-        "int",
-        default=32768,
-        description=(
-            "Frontier rows at which execute_batch switches from the "
-            "generated row-loop to the columnwise backend"
-        ),
-        consumers=("repro.engine.expansion_plan",),
-    ),
-    Knob(
-        "REPRO_BATCH_NUMPY_MIN",
-        "int",
-        default=1 << 20,
-        description=(
-            "Alive rows at which single-attribute integer guard steps "
-            "dedup lookups through numpy on the raw plane"
-        ),
-        consumers=("repro.engine.expansion_plan",),
-    ),
-    Knob(
-        "REPRO_BATCH_NUMPY_MIN_ENCODED",
-        "int",
-        default=1 << 16,
-        description=(
-            "The numpy unique-key threshold for dictionary-encoded plans "
-            "(keys are ints by construction)"
-        ),
-        consumers=("repro.engine.expansion_plan",),
-    ),
     Knob(
         "REPRO_BATCH_NDARRAY",
         "mode",
@@ -330,6 +310,23 @@ RETIRED: dict[str, str] = {
         "shards run on threads only; the process+SharedMemory backend "
         "ran the same fdchain 100k query in 202-212 ms vs 91-93 ms on "
         "threads"
+    ),
+    "REPRO_BATCH_COLUMN_MIN": (
+        "the generated row-loop is the only row executor; the columnwise "
+        "backend never ran on the e2e workloads and was slower or at "
+        "parity on every E17 engine (decoded fdchain 200k 3.77 s vs "
+        "3.28 s row-loop); its one win, the decoded binary_join_plan "
+        "fill on large_fdchain_workload, is accepted as a loss (n=8000: "
+        "0.26 s vs 0.32 s row-loop; n=30000: 3.46 s vs 4.84 s; 2-CPU "
+        "host), on a path no benchmark workload runs"
+    ),
+    "REPRO_BATCH_NUMPY_MIN": (
+        "numpy unique-key dedup is deleted with the columnwise backend; "
+        "np.unique ran zero times on the e2e and E17 workloads"
+    ),
+    "REPRO_BATCH_NUMPY_MIN_ENCODED": (
+        "numpy unique-key dedup is deleted with the columnwise backend; "
+        "np.unique ran zero times on the e2e and E17 workloads"
     ),
 }
 

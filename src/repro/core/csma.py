@@ -531,12 +531,7 @@ def _fallback_join(
         out_key = tuple_getter(plan.positions(out_schema))
         rows = [
             out_key(expanded)
-            for expanded in plan.execute_batch_columns(
-                current.columns(),
-                len(current),
-                counter,
-                all_int=current.columns_all_int(),
-            )
+            for expanded in plan.execute_batch(current.tuples, counter)
             if expanded is not None
         ]
     return Relation("fallback", out_schema, rows)

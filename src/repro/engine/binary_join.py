@@ -60,7 +60,7 @@ def binary_join_plan(
     if apply_fd_filters and set(current.schema) != set(query.variables):
         # Fill UDF-determined variables and drop inconsistent tuples: the
         # whole intermediate goes through the compiled expansion plan in
-        # one batch, fed straight from the relation's columnar view.
+        # one batch.
         filled = []
         target = frozenset(query.variables)
         if len(current):
@@ -72,12 +72,7 @@ def binary_join_plan(
             counter.add(len(current))
             filled = [
                 out_key(expanded)
-                for expanded in plan.execute_batch_columns(
-                    current.columns(),
-                    len(current),
-                    counter,
-                    all_int=current.columns_all_int(),
-                )
+                for expanded in plan.execute_batch(current.tuples, counter)
                 if expanded is not None
                 and (consistent is None or consistent(expanded))
             ]

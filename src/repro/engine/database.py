@@ -488,62 +488,6 @@ class Database:
         _lru_put(self._relation_plans, key, plan)
         return plan
 
-    def expand_rows(
-        self,
-        rows: list[tuple],
-        source_schema: Sequence[str],
-        target: VarSet,
-        out_schema: Sequence[str],
-        counter: WorkCounter | None = None,
-        encoded: bool = False,
-    ) -> list[tuple]:
-        """Joined rows → expanded-and-reordered output tuples.
-
-        The shared epilogue of SMA's SM-join and CSMA's join rules: push
-        ``rows`` (laid out over ``source_schema``) through the compiled
-        expansion plan toward ``target``, drop dangling rows, and reorder
-        each survivor onto ``out_schema``.  A step-less plan (already
-        closed schema) short-circuits to a C-level reorder — or a
-        pass-through when the reorder is the identity.
-        """
-        if not rows:
-            return []
-        source_schema = tuple(source_schema)
-        out_schema = tuple(out_schema)
-        plan = self.expansion_plan(source_schema, target, encoded=encoded)
-        out_positions = plan.positions(out_schema)
-        if not plan.steps:
-            if (
-                len(out_schema) == len(plan.out_schema)
-                and out_positions == tuple(range(len(out_schema)))
-            ):
-                return rows
-            return list(map(tuple_getter(out_positions), rows))
-        survivors = self._expand_rows_block(plan, rows, out_positions, counter)
-        if survivors is not None:
-            return frontier.block_rows(survivors)
-        out_key = tuple_getter(out_positions)
-        return [
-            out_key(expanded)
-            for expanded in plan.execute_batch(rows, counter)
-            if expanded is not None
-        ]
-
-    def _expand_rows_block(self, plan, rows, out_positions, counter):
-        """The ndarray fast path shared by :meth:`expand_rows` and
-        :meth:`expand_rows_relation`: rows → plan → surviving rows as a
-        reordered int64 block (``None`` when the backend is not engaged).
-        """
-        if not (plan.encoded and frontier.ndarray_engaged(len(rows))):
-            return None
-        block = frontier.rows_to_block(rows, len(plan.source_schema))
-        if block is None:
-            return None
-        out, mask = plan.execute_batch_ndarray(block, counter)
-        if mask is not None:
-            out = out[mask]
-        return out[:, list(out_positions)]
-
     def expand_rows_relation(
         self,
         name: str,
@@ -554,36 +498,43 @@ class Database:
         counter: WorkCounter | None = None,
         encoded: bool = False,
     ) -> Relation:
-        """:meth:`expand_rows` materialized straight into a relation.
+        """Joined rows → expanded-and-reordered output relation.
 
-        SMA's SM-join and CSMA's join rules build their T(·) tables here:
-        on the ndarray path the surviving frontier block is handed to
-        :meth:`Relation.from_columns` column-wise — the relation starts
-        life with its column store and all-int verdict installed, so the
-        next join/index/batch over it skips the transpose and the int
-        scan.  Output rows are distinct by the callers' provenance
-        argument (injective join + expansion), exactly as before.
+        The shared epilogue of SMA's SM-join and CSMA's join rules: push
+        ``rows`` (laid out over ``source_schema``) through the compiled
+        expansion plan toward ``target``, drop dangling rows, and reorder
+        each survivor onto ``out_schema``.  This is the one door from row
+        frontiers into the block backend: on the encoded plane, once
+        ``frontier.ndarray_engaged`` holds, the rows convert to one int64
+        block and :meth:`expand_block_relation` takes over.  A step-less
+        plan (already closed schema) stays a C-level reorder — or a
+        pass-through when the reorder is the identity.  Output rows are
+        distinct by the callers' provenance argument (injective join +
+        expansion).
         """
         source_schema = tuple(source_schema)
         out_schema = tuple(out_schema)
+        out_tuples = rows
         if rows:
             plan = self.expansion_plan(source_schema, target, encoded=encoded)
-            if plan.steps:
-                survivors = self._expand_rows_block(
-                    plan, rows, plan.positions(out_schema), counter
-                )
-                if survivors is not None:
-                    return Relation.from_columns(
-                        name,
-                        out_schema,
-                        [column.tolist() for column in survivors.T],
-                        distinct=True,
-                        all_int=True,
-                    )
-        out_tuples = self.expand_rows(
-            rows, source_schema, target, out_schema,
-            counter=counter, encoded=encoded,
-        )
+            out_positions = plan.positions(out_schema)
+            if not plan.steps:
+                if out_positions != tuple(range(len(plan.out_schema))):
+                    out_tuples = list(map(tuple_getter(out_positions), rows))
+            else:
+                if encoded and frontier.ndarray_engaged(len(rows)):
+                    block = frontier.rows_to_block(rows, len(source_schema))
+                    if block is not None:
+                        return self.expand_block_relation(
+                            name, block, source_schema, target, out_schema,
+                            counter=counter,
+                        )
+                out_key = tuple_getter(out_positions)
+                out_tuples = [
+                    out_key(expanded)
+                    for expanded in plan.execute_batch(rows, counter)
+                    if expanded is not None
+                ]
         return Relation(name, out_schema, out_tuples, distinct=True)
 
     def expand_block_relation(
@@ -599,8 +550,9 @@ class Database:
         int64 frontier block (encoded plane only): the block runs the
         ndarray backend (or just reorders, when the schema is already
         closed — charging nothing, like the step-less row path) and
-        materializes column-wise.  Output distinctness is the caller's
-        provenance argument, as everywhere.
+        materializes column-wise, so the relation starts life with its
+        column store and all-int verdict installed.  Output distinctness
+        is the caller's provenance argument, as everywhere.
         """
         source_schema = tuple(source_schema)
         out_schema = tuple(out_schema)

@@ -172,8 +172,8 @@ class Codec:
         The twin stores encoded tuples *and* its encoded columns (the
         column-store view is a by-product of the column-wise encode, so
         :meth:`Relation.columns` on the twin is free), with the all-int
-        column verdict pre-seeded — the numpy guard gate never has to
-        scan an encoded column.
+        column verdict pre-seeded — the sort-based index build never has
+        to scan an encoded column.
         """
         cached = relation.encoded_twin(self)
         if cached is not None:

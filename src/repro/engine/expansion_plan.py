@@ -30,9 +30,8 @@ the reference path (``repro.engine.reference``): one touch per guarded fd
 application (hit or miss) and one per UDF evaluation — the *measured work
 shapes are bit-identical*, only the constant factor drops.
 
-Row-tuple batches run on the generated row-loop or, for large frontiers,
-the columnwise functional-map backend (with numpy unique-key dedup on
-large integer-keyed guard steps).  Encoded plans additionally run int64
+Row-tuple batches run on one executor at every frontier size: the
+generated row-loop.  Encoded plans additionally run int64
 frontier blocks (:mod:`repro.engine.frontier`) through one block
 executor, ``execute_batch_ndarray``: the plan's generated pipeline from
 :mod:`repro.engine.fused` (dense gathers composed across consecutive
@@ -46,12 +45,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Sequence
 
-try:  # numpy accelerates the columnwise guard path; never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
-from repro import config
 from repro.engine import frontier as _frontier
 from repro.engine import fused as _fused
 from repro.engine import shard as _shard
@@ -60,26 +55,6 @@ from repro.engine.cancellation import checkpoint
 GUARD = 0
 UDF = 1
 GUARD_DENSE = 2
-
-
-#: Frontier size at which ``execute_batch`` switches from the generated
-#: row-loop to the columnwise backend.  Measured crossover (see
-#: PERFORMANCE.md): below ~32k rows the two are within noise of each other
-#: and the row-loop avoids the transposition; at ~100k+ the columnwise
-#: functional-map application pulls ahead (~1.1-1.2x on guard chains).
-COLUMN_MIN_ROWS = config.get("REPRO_BATCH_COLUMN_MIN")
-#: Alive-row count at which a single-attribute integer guard step
-#: deduplicates lookups through numpy (``np.unique`` + gather) on the
-#: *raw* plane.  Dict probes on small int keys are cheaper than the sort,
-#: so this is an opt-in for workloads with fat keys / expensive hashes.
-NUMPY_MIN_ROWS = config.get("REPRO_BATCH_NUMPY_MIN")
-#: The same threshold for dictionary-encoded plans, where keys are ints by
-#: construction (no per-cell gate) — the unique-key path engages by
-#: default on large encoded frontiers.
-NUMPY_MIN_ROWS_ENCODED = config.get("REPRO_BATCH_NUMPY_MIN_ENCODED")
-#: The unique-key path engages only when keys repeat at least this often on
-#: average — otherwise the O(m log m) sort buys nothing over m dict probes.
-_DEDUP_PAYOFF = 4
 
 
 def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -149,21 +124,21 @@ class ExpansionPlan:
 
     ``out_schema`` is the source schema followed by the appended attributes
     in application order.  ``encoded`` marks plans compiled for the
-    dictionary-encoded plane: inputs are code tuples, and every column is
-    statically known to be ints (the numpy guard gate never scans).
+    dictionary-encoded plane: inputs are code tuples, so every column is
+    statically known to be ints.
 
     ``execute`` is *generated code*: the step list is flattened into one
     Python function at construction, so per-tuple execution pays a single
     call frame plus the UDF calls themselves.
 
-    ``execute_batch`` runs the plan over a whole frontier at once: small
-    batches go through a generated loop (the row-loop fallback, one call
-    frame per *batch*), large ones through the columnwise backend
-    (:meth:`_execute_columns`) where each guard step applies its functional
-    map down a key column and each UDF maps down its argument columns.
-    Both return a list aligned with the input (``None`` marks dangling
-    rows) and charge the counter the exact per-tuple total: one touch per
-    step a tuple reaches, nothing past the step where it dangles.
+    ``execute_batch`` runs the plan over a whole row frontier at once
+    through a generated loop (the row-loop, one call frame per *batch*).
+    It returns a list aligned with the input (``None`` marks dangling
+    rows) and charges the counter the exact per-tuple total: one touch
+    per step a tuple reaches, nothing past the step where it dangles.
+    ``execute_batch_ndarray`` is the int64 block executor of encoded
+    plans; the two meet only where ``execute_batch`` forwards a row
+    frontier under a forced-on block backend.
     """
 
     __slots__ = (
@@ -231,7 +206,7 @@ class ExpansionPlan:
         return namespace["execute"]
 
     def _compile_batch(self):
-        """Generate the row-loop batch executor (the pure-python fallback).
+        """Generate the row-loop batch executor.
 
         Same per-row semantics as :meth:`execute`, but the whole frontier
         runs inside one generated function and the counter is charged once
@@ -275,11 +250,15 @@ class ExpansionPlan:
         return namespace["execute_batch"]
 
     def execute_batch(self, tuples, counter=None) -> list:
-        """Run the plan over a frontier; aligned output, ``None`` = dangling.
+        """Run the plan over a row frontier; aligned output, ``None`` =
+        dangling.
 
-        Dispatches on frontier size: small frontiers use the generated
-        row-loop, large ones the columnwise backend over a transposed
-        column-store.  Counter totals are bit-identical either way.
+        The generated row-loop runs every frontier size.  Under a
+        forced-on block backend an encoded frontier instead takes the
+        tuples → block → tuples roundtrip through
+        :meth:`execute_batch_ndarray`, so the differential variants and
+        the CI cross gate cover the block path from every row caller.
+        Counter totals are bit-identical either way.
         """
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
@@ -298,42 +277,7 @@ class ExpansionPlan:
             if block is not None:
                 out, mask = self.execute_batch_ndarray(block, counter)
                 return _frontier.block_to_rows(out, mask)
-        if n < COLUMN_MIN_ROWS:
-            return self._execute_batch_rows(tuples, counter)
-        # Column extraction via itemgetter maps: C-level per column, and
-        # much cheaper than a zip(*rows) star-unpack on large frontiers.
-        cols = [
-            list(map(itemgetter(j), tuples))
-            for j in range(len(self.source_schema))
-        ]
-        return self._execute_columns(cols, n, counter)
-
-    def execute_batch_columns(
-        self, columns, n: int, counter=None, all_int=None
-    ) -> list:
-        """Batch entry point for callers that already hold a column-store
-        (:meth:`repro.engine.relation.Relation.columns`).
-
-        ``all_int`` is the caller's memoized per-column verdict
-        (:meth:`repro.engine.relation.Relation.columns_all_int`) so the
-        numpy guard gate never re-scans a cached column.
-        """
-        if n == 0:
-            return []
-        checkpoint()  # frontier-block granularity deadline/fault check-in
-        if (
-            self.encoded
-            and self.steps
-            and _frontier.ndarray_roundtrip_engaged(n)
-        ):
-            block = _frontier.columns_to_block(columns, n)
-            if block is not None:
-                out, mask = self.execute_batch_ndarray(block, counter)
-                return _frontier.block_to_rows(out, mask)
-        if n < COLUMN_MIN_ROWS or not self.steps:
-            rows = list(zip(*columns)) if columns else [()] * n
-            return self._execute_batch_rows(rows, counter)
-        return self._execute_columns(list(columns), n, counter, all_int)
+        return self._execute_batch_rows(tuples, counter)
 
     # ------------------------------------------------------------------
     # The ndarray frontier backend (dictionary-encoded plans only)
@@ -433,8 +377,8 @@ class ExpansionPlan:
         across the worker pool with a deterministic merge — the returned
         ``(out, mask)`` and the counter charge are bit-identical to the
         local kernel for any worker count.  Every block caller (the
-        chain/CSMA/SMA/generic seams, ``Database.expand_rows`` and the
-        roundtrip entry points) inherits sharding through this one
+        chain/CSMA/SMA/generic seams, ``Database.expand_rows_relation`` and
+        the forced-on ``execute_batch`` roundtrip) inherits sharding through this one
         dispatch.  ``step_alive`` (an optional list) receives the
         alive-row count of every plan step, shard-merged by exact sums.
         """
@@ -476,124 +420,6 @@ class ExpansionPlan:
         dense gathers composed into fused tables.
         """
         return self._fused_pipeline()(block, counter, step_alive)
-
-    def _execute_columns(
-        self, cols: list, n: int, counter=None, all_int=None
-    ) -> list:
-        """Columnwise plan execution over ``cols`` (one sequence per source
-        attribute, ``n`` rows).
-
-        Guard steps apply their functional map down the key column with
-        ``map(lookup.get, zip(...))`` (C-level iteration); dense guard
-        steps index their flat table directly; misses compress the store
-        so dead rows never reach a UDF.  Large integer-keyed steps
-        deduplicate probes through numpy (one dict probe per distinct
-        key); the per-column "all ints" verdict is memoized in
-        ``int_known`` (statically ``True`` on encoded plans) rather than
-        re-scanned per call.  Work accounting: each step charges the rows
-        alive when it runs — summed over rows, exactly the per-tuple
-        prefix counts.
-        """
-        # Per-column int verdict: True/False known, None = not yet checked.
-        if self.encoded:
-            int_known: list = [True] * len(cols)
-        elif all_int is not None:
-            int_known = list(all_int[: len(cols)])
-        else:
-            int_known = [None] * len(cols)
-
-        def col_is_int(j: int) -> bool:
-            verdict = int_known[j]
-            if verdict is None:
-                verdict = int_known[j] = all(
-                    type(v) is int for v in cols[j]
-                )
-            return verdict
-
-        touched = 0
-        alive: list[int] | None = None  # None = all n input rows alive
-        m = n
-        for tag, positions, payload in self.steps:
-            if m == 0:
-                break
-            checkpoint()  # per plan step over the whole column store
-            touched += m
-            if tag != UDF:
-                images = self._guard_images(
-                    cols, positions, payload, m, tag, col_is_int
-                )
-                miss = False
-                for v in images:
-                    if v is None or v is INCONSISTENT:
-                        miss = True
-                        break
-                if miss:
-                    keep = [
-                        j
-                        for j, v in enumerate(images)
-                        if v is not None and v is not INCONSISTENT
-                    ]
-                    alive = keep if alive is None else [alive[j] for j in keep]
-                    cols = [[c[j] for j in keep] for c in cols]
-                    images = [images[j] for j in keep]
-                    m = len(keep)
-                    if m == 0:
-                        break
-                for j in range(len(images[0])):
-                    cols.append(list(map(itemgetter(j), images)))
-                    # Guard images on the encoded plane are code tuples;
-                    # raw-plane image columns are checked lazily if a
-                    # later step keys on them.
-                    int_known.append(True if self.encoded else None)
-            else:
-                if positions:
-                    cols.append(list(map(payload, *(cols[p] for p in positions))))
-                else:
-                    cols.append([payload() for _ in range(m)])
-                int_known.append(True if self.encoded else None)
-        if counter is not None and touched:
-            counter.add(touched)
-        out: list = [None] * n
-        if m:
-            rows = zip(*cols) if cols else iter([()] * m)
-            if alive is None:
-                return list(rows)
-            for i, row in zip(alive, rows):
-                out[i] = row
-        return out
-
-    def _guard_images(
-        self, cols, positions, payload, m: int, tag, col_is_int
-    ) -> list:
-        """The guard's functional map applied down the key column(s)."""
-        if tag == GUARD_DENSE:
-            table = payload
-            size = len(table)
-            col = cols[positions[0]]
-            return [table[c] if c < size else None for c in col]
-        lookup = payload
-        if len(positions) == 1:
-            col = cols[positions[0]]
-            threshold = (
-                NUMPY_MIN_ROWS_ENCODED if self.encoded else NUMPY_MIN_ROWS
-            )
-            if (
-                _np is not None
-                and m >= threshold
-                and col_is_int(positions[0])
-            ):
-                try:
-                    arr = _np.fromiter(col, dtype=_np.int64, count=m)
-                except OverflowError:
-                    arr = None
-                if arr is not None:
-                    uniq, inverse = _np.unique(arr, return_inverse=True)
-                    if len(uniq) * _DEDUP_PAYOFF <= m:
-                        gathered = _np.empty(len(uniq), dtype=object)
-                        gathered[:] = [lookup.get((int(v),)) for v in uniq]
-                        return list(gathered[inverse])
-            return list(map(lookup.get, zip(col)))
-        return list(map(lookup.get, zip(*(cols[p] for p in positions))))
 
 
 class RelationExpansionPlan:

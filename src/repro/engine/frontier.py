@@ -35,13 +35,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 
+import numpy as np
+
 from repro import config
 from repro.engine.cancellation import checkpoint
-
-try:  # pragma: no cover - the image bakes numpy in
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 
 #: Row count at which ``auto`` mode routes an encoded batch through the
@@ -100,7 +97,7 @@ def _shard_forces_blocks() -> bool:
 def ndarray_engaged(n: int) -> bool:
     """Does the block backend handle an encoded batch of ``n`` rows under
     the current mode?  (Callers have already checked ``plan.encoded``.)"""
-    if np is None or n <= 0:
+    if n <= 0:
         return False
     mode = active_mode()
     if mode in _OFF:
@@ -120,8 +117,6 @@ def ndarray_forced_on() -> bool:
     exercise the block path everywhere it can run.  Shards only exist
     on blocks, so forcing them forces blocks (unless blocks are
     themselves explicitly ``off``, which wins)."""
-    if np is None:
-        return False
     mode = active_mode()
     if mode in _OFF:
         return False
@@ -180,11 +175,6 @@ def block_to_rows(block, mask) -> list:
     for i, row in zip(alive, map(tuple, block[mask].tolist())):
         out[i] = row
     return out
-
-
-def block_rows(block) -> list[tuple]:
-    """Block → plain tuple rows (no mask; used at terminal boundaries)."""
-    return list(map(tuple, block.tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -45,14 +45,11 @@ from __future__ import annotations
 
 from time import perf_counter
 
+import numpy as np
+
 from repro import config
 from repro.engine.cancellation import checkpoint
 from repro.engine.frontier import key_hits
-
-try:  # pragma: no cover - the image bakes numpy in
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro import config
 
 # Opt-in re-validation of the ``distinct=True`` fast path (set
@@ -212,8 +214,6 @@ class Relation:
             self._key_blocks = {}
         cached = self._key_blocks.get(key)
         if cached is None:
-            import numpy as np
-
             from repro.engine import frontier
 
             columns = self.columns()
@@ -241,8 +241,6 @@ class Relation:
             self._key_blocks = {}
         cached = self._key_blocks.get(key)
         if cached is None:
-            import numpy as np
-
             from repro.engine import frontier
 
             columns = self.columns()
@@ -273,9 +271,9 @@ class Relation:
     def columns(self) -> tuple[tuple, ...]:
         """Columnar view: one tuple per attribute, cached after first use.
 
-        The batched plan backend (`ExpansionPlan.execute_batch_columns`)
-        consumes this directly, so pushing a whole relation through a plan
-        skips the per-call transposition.
+        Key and join blocks, the codec's column-wise encode and the
+        block seams (``frontier.columns_to_block``) read it directly, so
+        they skip the per-call transposition.
         """
         if self._columns is None:
             from operator import itemgetter
@@ -298,7 +296,7 @@ class Relation:
         """Per-column "every cell is an int" verdict, memoized on the
         cached columnar view.
 
-        The batched guard backend consults this instead of re-scanning
+        The sort-based index build consults this instead of re-scanning
         ``type(v) is int`` per cell on every call; encoded twins are
         seeded ``True`` without a scan (codes are ints by construction).
         """
@@ -386,10 +384,6 @@ class Relation:
             or len(self.tuples) < 4096
             or not self.columns_all_int()[p]
         ):
-            return None
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - the image bakes numpy in
             return None
         col = self._columns[p]
         try:

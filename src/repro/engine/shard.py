@@ -36,14 +36,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 
+import numpy as np
+
 from repro import config
 from repro.engine import frontier
 from repro.engine.cancellation import checkpoint
-
-try:  # pragma: no cover - the image bakes numpy in
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 
 _ON = config.ON_VALUES
@@ -127,13 +124,13 @@ def shard_forced_on() -> bool:
     """Is sharding *forced* (``REPRO_SHARD=on``)?  Consulted by
     :func:`repro.engine.frontier.ndarray_forced_on` so forcing shards
     forces blocks everywhere they can run."""
-    return np is not None and active_mode() in _ON
+    return active_mode() in _ON
 
 
 def shard_engaged(n: int) -> bool:
     """Should a block kernel over ``n`` rows dispatch through the shard
     backend under the current mode?  Never inside a shard task."""
-    if np is None or n < 2 or _IN_SHARD.get():
+    if n < 2 or _IN_SHARD.get():
         return False
     mode = active_mode()
     if mode in _OFF:
@@ -147,8 +144,6 @@ def shard_available() -> bool:
     """Can the current configuration shard at all?  (The serving layer's
     degradation chain only advertises an ``encoded-sharded`` stage when
     this holds.)"""
-    if np is None:
-        return False
     if active_mode() in _OFF:
         return False
     return active_workers() > 1 or active_mode() in _ON

@@ -14,10 +14,10 @@ it ships (see PERFORMANCE.md, "The differential testing contract"):
 
 The registry below names every current engine; ``MANDATORY_ENGINES`` are
 the ones that must run on every instance the generators produce.  The
-batched plan backend (``ExpansionPlan.execute_batch`` row-loop, columnwise
-and numpy paths) and the positional-kernel leapfrog port are registered as
-mandatory — a regression in either fails this harness, not just a
-downstream benchmark.
+batched plan backends (the ``ExpansionPlan.execute_batch`` row-loop and
+the forced-on block roundtrip) and the positional-kernel leapfrog port
+are registered as mandatory — a regression in either fails this
+harness, not just a downstream benchmark.
 
 Since the dictionary-encoded data plane became the default, the plain
 registry entries all exercise the *encoded* kernel.  The
@@ -537,29 +537,25 @@ def _reference_tuple_rows(db, schema, out_schema, rows, counter):
 
 
 def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
-    """The batched plan backend ≡ the naive per-tuple reference, on both
+    """The batched plan backends ≡ the naive per-tuple reference, on both
     data planes.
 
-    For every stored relation: build a frontier of stored + garbage rows,
-    run it through (a) per-row ``reference_expand_tuple``, (b) the
-    generated row-loop, (c) the columnwise backend, (d) the columnwise
-    backend with the numpy unique-key path forced on — all four must
-    produce identical aligned outputs and identical work counts.  When the
-    database carries a codec, the same three batch variants run again on
-    the *encoded* plan (rows encoded on entry, outputs decoded for the
-    comparison): the encoded kernel must match ``reference_expand_tuple``
-    — the decoded-value specification — bit-identically on results and
-    ``tuples_touched``.
+    For every stored relation: build a frontier of stored + garbage rows
+    and run it through (a) per-row ``reference_expand_tuple`` and (b) the
+    generated row-loop.  When the database carries a codec, the same rows
+    run again on the *encoded* plan (rows encoded on entry, outputs
+    decoded for the comparison) through the row-loop and through the
+    forced-on int64 block backend: the encoded kernels must match
+    ``reference_expand_tuple`` — the decoded-value specification —
+    bit-identically on results and ``tuples_touched``.
     """
-    import repro.engine.expansion_plan as ep
-
     for name, rel in db.relations.items():
         plan = db.expansion_plan(rel.schema)
         rows = list(rel.tuples)[:12]
         rows += [
             tuple(rng.randrange(12) for _ in rel.schema) for _ in range(8)
         ]
-        # Duplicate rows so the unique-key dedup path has repetition.
+        # Duplicate rows so repeated keys reach every backend.
         rows = rows * 2
 
         ref_counter = WorkCounter()
@@ -568,51 +564,31 @@ def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
         )
 
         variants = {}
-        saved = (
-            ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS, ep.NUMPY_MIN_ROWS_ENCODED
-        )
-        try:
+        with ndarray_forced("off"):
+            variants["rows"] = _run_variant(plan, rows)
+        if db.encoded:
+            codec = db.codec
+            enc_plan = db.expansion_plan(rel.schema, encoded=True)
+            assert enc_plan.out_schema == plan.out_schema
+            enc_rows = [codec.encode_row(rel.schema, r) for r in rows]
+            enc_variants = {}
             with ndarray_forced("off"):
-                ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS = 10 ** 9, 10 ** 9
-                variants["rows"] = _run_variant(plan, rows)
-                ep.COLUMN_MIN_ROWS = 1
-                variants["columns"] = _run_variant(plan, rows)
-                ep.NUMPY_MIN_ROWS = 1
-                variants["numpy"] = _run_variant(plan, rows)
-            if db.encoded:
-                codec = db.codec
-                enc_plan = db.expansion_plan(rel.schema, encoded=True)
-                assert enc_plan.out_schema == plan.out_schema
-                enc_rows = [codec.encode_row(rel.schema, r) for r in rows]
-                enc_variants = {}
-                with ndarray_forced("off"):
-                    ep.COLUMN_MIN_ROWS = 10 ** 9
-                    ep.NUMPY_MIN_ROWS_ENCODED = 10 ** 9
-                    enc_variants["encoded-rows"] = _run_variant(enc_plan, enc_rows)
-                    ep.COLUMN_MIN_ROWS = 1
-                    enc_variants["encoded-columns"] = _run_variant(enc_plan, enc_rows)
-                    ep.NUMPY_MIN_ROWS_ENCODED = 1
-                    enc_variants["encoded-numpy"] = _run_variant(enc_plan, enc_rows)
-                # The ndarray frontier backend, forced onto every batch
-                # size — the same rows (including the garbage/duplicate
-                # ones and any codes interned mid-loop) must produce the
-                # identical aligned output and identical counts.
-                with ndarray_forced("on"):
-                    enc_variants["encoded-ndarray"] = _run_variant(
-                        enc_plan, enc_rows
-                    )
-                for variant, (counter, out) in enc_variants.items():
-                    decoded = [
-                        None if r is None
-                        else codec.decode_row(enc_plan.out_schema, r)
-                        for r in out
-                    ]
-                    variants[variant] = (counter, decoded)
-        finally:
-            (
-                ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS,
-                ep.NUMPY_MIN_ROWS_ENCODED,
-            ) = saved
+                enc_variants["encoded-rows"] = _run_variant(enc_plan, enc_rows)
+            # The ndarray frontier backend, forced onto every batch
+            # size — the same rows (including the garbage/duplicate
+            # ones and any codes interned mid-loop) must produce the
+            # identical aligned output and identical counts.
+            with ndarray_forced("on"):
+                enc_variants["encoded-ndarray"] = _run_variant(
+                    enc_plan, enc_rows
+                )
+            for variant, (counter, out) in enc_variants.items():
+                decoded = [
+                    None if r is None
+                    else codec.decode_row(enc_plan.out_schema, r)
+                    for r in out
+                ]
+                variants[variant] = (counter, decoded)
 
         for variant, (counter, out) in variants.items():
             assert out == ref, f"{name}: batch[{variant}] output diverges"
@@ -697,7 +673,7 @@ def assert_ndarray_backend_equivalence(query, db) -> None:
 
     Runs every engine's work profile twice on the encoded plane — once
     with the array-of-int64 backend forced onto every batch, once with it
-    forced off (the generated row-loop / columnwise backends) — and
+    forced off (the generated row-loop) — and
     asserts identical ``tuples_touched`` everywhere plus identical CSMA
     results.  Any drift means the block backend changed the measured work
     shape, not just the constant factor.

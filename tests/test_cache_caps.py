@@ -167,10 +167,15 @@ def test_plan_cache_eviction_preserves_expansions(seed, monkeypatch):
     for schema in requests:
         target = db.fds.closure(frozenset(schema))
         out_schema = tuple(sorted(target))
-        rows = [tuple(rng.randrange(8) for _ in schema) for _ in range(6)]
-        got = db.expand_rows(rows, schema, target, out_schema)
-        fresh = _chain_database().expand_rows(rows, schema, target, out_schema)
-        assert sorted(got) == sorted(fresh)
+        # Distinct rows: expand_rows_relation's distinct-output contract.
+        rows = list(dict.fromkeys(
+            tuple(rng.randrange(8) for _ in schema) for _ in range(6)
+        ))
+        got = db.expand_rows_relation("T", rows, schema, target, out_schema)
+        fresh = _chain_database().expand_rows_relation(
+            "T", rows, schema, target, out_schema
+        )
+        assert sorted(got.tuples) == sorted(fresh.tuples)
         assert len(db._tuple_plans) <= 2
         assert len(db._guard_lookups) <= 2
 

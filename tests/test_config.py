@@ -42,7 +42,13 @@ pad = st.text(alphabet=" \t", max_size=2)
 @given(value=st.integers(-(10**9), 10**9), left=pad, right=pad)
 @pytest.mark.parametrize("name", INT_KNOBS)
 def test_int_knobs_round_trip(name, value, left, right):
-    assert config.get(name, {name: f"{left}{value}{right}"}) == value
+    raw = f"{left}{value}{right}"
+    minimum = KNOBS[name].minimum
+    if minimum is not None and value < minimum:
+        with pytest.raises(ConfigError, match=name):
+            config.get(name, {name: raw})
+    else:
+        assert config.get(name, {name: raw}) == value
 
 
 @given(
@@ -112,11 +118,12 @@ def test_out_of_domain_values_raise_config_error(name, garbage):
         return  # whitespace means unset, covered above
     if knob.kind == "int":
         try:
-            int(token)
+            value = int(token)
         except ValueError:
             pass
         else:
-            return  # in-domain draw; nothing to reject
+            if knob.minimum is None or value >= knob.minimum:
+                return  # in-domain draw; nothing to reject
     elif knob.kind == "mode":
         if token in {"auto"} | config.ON_VALUES | config.OFF_VALUES:
             return
@@ -163,9 +170,6 @@ EXPECTED_DEFAULTS = {
     "REPRO_ENCODE": True,
     "REPRO_PLAN_CACHE_MAX": 512,
     "REPRO_CHECK_DISTINCT": False,
-    "REPRO_BATCH_COLUMN_MIN": 32768,
-    "REPRO_BATCH_NUMPY_MIN": 1 << 20,
-    "REPRO_BATCH_NUMPY_MIN_ENCODED": 1 << 16,
     "REPRO_BATCH_NDARRAY": "auto",
     "REPRO_BATCH_NDARRAY_MIN": 4096,
     "REPRO_SHARD": "auto",
@@ -184,6 +188,26 @@ def test_defaults_match_the_old_scattered_readers():
     assert config.get("REPRO_SHARD_WORKERS", {}) == (os.cpu_count() or 1)
     # And the registry declares nothing beyond these.
     assert set(EXPECTED_DEFAULTS) | {"REPRO_SHARD_WORKERS"} == set(KNOB_NAMES)
+
+
+def test_plan_cache_max_rejects_negative_caps(monkeypatch):
+    # A negative cap would make the LRU eviction loop pop an empty cache
+    # (a bare KeyError on the first plan compile), so it fails when read.
+    name = "REPRO_PLAN_CACHE_MAX"
+    for raw in ("-1", " -512 "):
+        with pytest.raises(ConfigError, match=name):
+            config.get(name, {name: raw})
+    # 0 is legal and disables the plan caches.
+    assert config.get(name, {name: "0"}) == 0
+    from repro.datagen.large import large_fdchain_workload
+    from repro.engine import database
+    from repro.engine.binary_join import binary_join_plan
+
+    monkeypatch.setattr(database, "PLAN_CACHE_MAX", 0)
+    query, db = large_fdchain_workload(200)
+    relation, _ = binary_join_plan(query, db)
+    assert len(relation) > 0
+    assert not db._tuple_plans
 
 
 def test_get_default_override_distinguishes_set_from_unset():

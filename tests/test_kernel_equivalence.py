@@ -199,7 +199,7 @@ def test_udf_consistency_equivalence(seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_backend_equivalence(seed):
-    """Row-loop, columnwise and numpy batch paths ≡ per-tuple reference
+    """Row-loop and block batch paths ≡ per-tuple reference
     (aligned outputs and bit-identical tuples_touched)."""
     rng = random.Random(seed + 4096)
     for query, db in all_instances(seed):
@@ -214,8 +214,8 @@ def test_leapfrog_substrate_equivalence(seed):
 
 
 def test_batched_backend_mixed_types_falls_back():
-    """A column mixing ints and strings must take the pure-python
-    columnwise path and still match the per-tuple executor."""
+    """A key column mixing ints and strings runs through the row-loop
+    ``execute_batch`` and still matches the per-tuple executor."""
     guard = Relation(
         "G", ("x", "y"), [(1, 10), ("a", 20), (2, 30), ("b", 40)]
     )
@@ -225,16 +225,8 @@ def test_batched_backend_mixed_types_falls_back():
     )
     plan = db.expansion_plan(("x",))
     rows = [(1,), ("a",), (99,), ("b",), (2,)] * 40
-    import repro.engine.expansion_plan as ep
-
-    saved = (ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS)
-    try:
-        ep.COLUMN_MIN_ROWS = 1
-        ep.NUMPY_MIN_ROWS = 1  # requested, but the type gate must refuse
-        c_batch = WorkCounter()
-        batch = plan.execute_batch(rows, c_batch)
-    finally:
-        ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS = saved
+    c_batch = WorkCounter()
+    batch = plan.execute_batch(rows, c_batch)
     c_tuple = WorkCounter()
     per_tuple = [plan.execute(t, c_tuple) for t in rows]
     assert batch == per_tuple

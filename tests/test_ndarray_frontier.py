@@ -8,8 +8,8 @@ Satellite coverage for the ndarray-frontier PR:
 * **Backend equivalence** — every engine's ``tuples_touched`` is
   bit-identical with the block backend forced on vs off
   (:func:`differential.assert_ndarray_backend_equivalence`), and the
-  aligned ``execute_batch`` outputs agree across all four backends
-  (row-loop, columnwise, numpy-dedup, ndarray) through
+  aligned ``execute_batch`` outputs agree across both backends
+  (row-loop, ndarray) and the scalar executor, and with
   ``assert_batch_backend_equivalence`` on the shared corpus.
 * **Mid-run interning** — codes interned *after* a plan compiled its
   ``GUARD_DENSE`` table (or sparse lookup) must dangle on every backend:
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from differential import (
     ENGINES,
@@ -60,7 +59,6 @@ def test_block_round_trip_and_mask_alignment():
     assert frontier.block_to_rows(block, None) == rows
     mask = np.array([True, False, True])
     assert frontier.block_to_rows(block, mask) == [rows[0], None, rows[2]]
-    assert frontier.block_rows(block) == rows
     # Non-rectangular / non-int frontiers refuse (callers fall back).
     assert frontier.rows_to_block([(1, 2), (3,)], 2) is None
     assert frontier.rows_to_block([("a", 1)], 2) is None
@@ -168,27 +166,15 @@ def _dense_guard_db() -> Database:
 
 def _all_backend_runs(plan, rows):
     """``execute_batch`` under every backend, plus the scalar executor."""
-    import repro.engine.expansion_plan as ep
-
     outputs = {}
-    saved = (ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS_ENCODED)
-    try:
-        with ndarray_forced("off"):
-            ep.COLUMN_MIN_ROWS = 10 ** 9
-            outputs["row-loop"] = _counted(plan, rows)
-            ep.COLUMN_MIN_ROWS = 1
-            ep.NUMPY_MIN_ROWS_ENCODED = 10 ** 9
-            outputs["columnwise"] = _counted(plan, rows)
-            ep.NUMPY_MIN_ROWS_ENCODED = 1
-            outputs["numpy-dedup"] = _counted(plan, rows)
-        with ndarray_forced("on"):
-            outputs["ndarray"] = _counted(plan, rows)
-        counter = WorkCounter()
-        outputs["scalar"] = (
-            counter, [plan.execute(row, counter) for row in rows]
-        )
-    finally:
-        ep.COLUMN_MIN_ROWS, ep.NUMPY_MIN_ROWS_ENCODED = saved
+    with ndarray_forced("off"):
+        outputs["row-loop"] = _counted(plan, rows)
+    with ndarray_forced("on"):
+        outputs["ndarray"] = _counted(plan, rows)
+    counter = WorkCounter()
+    outputs["scalar"] = (
+        counter, [plan.execute(row, counter) for row in rows]
+    )
     return outputs
 
 
