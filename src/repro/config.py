@@ -177,7 +177,9 @@ _DECLARATIONS: tuple[Knob, ...] = (
         minimum=0,
         description=(
             "LRU cap shared by the per-database compiled-plan caches "
-            "(tuple/relation plans, guard lookups, udf filters)"
+            "(tuple/relation plans, guard lookups, udf filters) and the "
+            "per-query compile memo (bound, planner verdict, closure-trick "
+            "expansion)"
         ),
         consumers=("repro.engine.database",),
     ),

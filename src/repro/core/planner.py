@@ -45,22 +45,29 @@ class Planner:
         self.query = query
         self.db = db
         self.lattice, self.inputs = lattice_from_query(query)
-        self._log_sizes = {
-            name: db.log_sizes()[name] for name in self.inputs
-        }
-        # choose() is deterministic per tolerance; run() re-asks it, and
-        # the underlying LP solves are memoized anyway — cache the verdict
-        # (and the chain it was based on) so repeated queries are free.
-        self._choices: dict[float, PlanChoice] = {}
-        self._chain = None
+        self._log_sizes = db.query_log_sizes(query)
+        # The verdict per tolerance and the chain it rests on live in the
+        # database's per-query memo (Database.compiled), not on this
+        # object: the service builds a fresh Planner per read, and those
+        # reads share one chain search and one SM-proof search.  Running
+        # the chosen algorithm is never memoized.
 
     def choose(self, tolerance: float = 1e-6) -> PlanChoice:
-        cached = self._choices.get(tolerance)
-        if cached is not None:
-            return cached
-        choice = self._choose(tolerance)
-        self._choices[tolerance] = choice
-        return choice
+        return self.db.compiled(
+            self.query, ("plan_choice", tolerance),
+            lambda: self._choose(tolerance),
+        )
+
+    def _best_chain(self) -> tuple[float, object]:
+        """``(chain_log2, chain)`` of the best chain bound, memoized."""
+
+        def search() -> tuple[float, object]:
+            chain_log2, chain, _ = best_chain_bound(
+                self.lattice, self.inputs, self._log_sizes
+            )
+            return chain_log2, chain
+
+        return self.db.compiled(self.query, "best_chain", search)
 
     def _choose(self, tolerance: float) -> PlanChoice:
         from repro.core.simple_keys import all_guarded_simple_keys
@@ -91,10 +98,7 @@ class Planner:
         program = LatticeLinearProgram(self.lattice, self.inputs, self._log_sizes)
         solution = program.solve()
         glvv = solution.objective
-        chain_log2, chain, _ = best_chain_bound(
-            self.lattice, self.inputs, self._log_sizes
-        )
-        self._chain = chain
+        chain_log2, chain = self._best_chain()
         if chain is not None and chain_log2 <= glvv + tolerance:
             return PlanChoice(
                 algorithm="chain",
@@ -129,11 +133,7 @@ class Planner:
         elif choice.algorithm == "closure-trick":
             out, _ = closure_trick_join(self.query, self.db)
         elif choice.algorithm == "chain":
-            chain = self._chain
-            if chain is None:
-                _, chain, _ = best_chain_bound(
-                    self.lattice, self.inputs, self._log_sizes
-                )
+            _, chain = self._best_chain()
             out, _ = chain_algorithm(
                 self.query, self.db, self.lattice, self.inputs, chain
             )

@@ -30,6 +30,22 @@ def all_guarded_simple_keys(query: Query) -> bool:
     return True
 
 
+def _closure_expansion(query: Query, db: Database) -> tuple[Query, Database]:
+    """``(Q⁺, D⁺)``: the closure query and the database of the expanded,
+    projected relations it runs on.  A pure function of ``query`` and
+    ``db``'s contents, so :func:`closure_trick_join` memoizes it per
+    (query, database) in :meth:`Database.compiled`."""
+    expanded_query = query.closure_query()
+    expanded_relations = []
+    for atom in query.atoms:
+        expanded = db.expand_relation(db[atom.name])
+        attrs = expanded_query.atom(atom.name).attrs
+        expanded_relations.append(
+            expanded.project(attrs, name=atom.name)
+        )
+    return expanded_query, Database(expanded_relations, udfs=list(db.udfs))
+
+
 def closure_trick_join(
     query: Query, db: Database
 ) -> tuple[Relation, GenericJoinStats]:
@@ -39,15 +55,9 @@ def closure_trick_join(
     Valid whenever every fd is *expandable* (guarded or UDF-backed); tight
     (worst-case optimal) when the fds are simple keys.
     """
-    expanded_query = query.closure_query()
-    expanded_relations = []
-    for atom in query.atoms:
-        expanded = db.expand_relation(db[atom.name])
-        attrs = expanded_query.atom(atom.name).attrs
-        expanded_relations.append(
-            expanded.project(attrs, name=atom.name)
-        )
-    expanded_db = Database(expanded_relations, udfs=list(db.udfs))
+    expanded_query, expanded_db = db.compiled(
+        query, "closure_trick", lambda: _closure_expansion(query, db)
+    )
     out, stats = generic_join(expanded_query, expanded_db)
     # Restore the original variable order and filter any UDF-definable
     # variable consistency (no-op when the fds are guarded).

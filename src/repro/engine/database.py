@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro import config
 from repro.engine import frontier
@@ -39,30 +39,23 @@ from repro.engine.relation import Relation
 from repro.errors import ExpansionError  # noqa: F401  (historical home)
 from repro.fds.fd import FD, FDSet, VarSet
 from repro.fds.udf import UDF, UDFRegistry
+from repro.util.lru import lru_get, lru_put
 
 #: Dictionary encoding is the default data plane; ``REPRO_ENCODE=0``
 #: reverts every new Database to the decoded (PR3) kernel.
 _ENCODE_DEFAULT = config.get("REPRO_ENCODE")
 
 #: LRU cap shared by the per-database compiled-kernel caches (tuple plans,
-#: relation plans, guard lookups, udf filters).  Every entry memoizes a
-#: pure compilation, so eviction only costs a recompile — the cap exists
-#: for long-uptime serving, where a tenant's query mix churns through far
-#: more (schema, target, plane) combinations than any one benchmark run.
+#: relation plans, guard lookups, udf filters) and the per-query compile
+#: memo (:meth:`Database.compiled`).  Every entry memoizes a pure
+#: compilation, so eviction only costs a recompile — the cap exists for
+#: long-uptime serving, where a tenant's query mix churns through far more
+#: (schema, target, plane) combinations than any one benchmark run.
 PLAN_CACHE_MAX = config.get("REPRO_PLAN_CACHE_MAX")
 
 
-def _lru_get(cache: OrderedDict, key):
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
 def _lru_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    while len(cache) > PLAN_CACHE_MAX:
-        cache.popitem(last=False)
+    lru_put(cache, key, value, PLAN_CACHE_MAX)
 
 
 class Database:
@@ -116,6 +109,9 @@ class Database:
         # Keyed on (schema, #udfs, plane) — the salt covers post-hoc
         # registration.
         self._udf_filters: OrderedDict[tuple, tuple] = OrderedDict()
+        # Per-query compile products (see compiled()), keyed on
+        # (query content, salt) and cleared with the plan caches.
+        self._queries: OrderedDict[tuple, dict] = OrderedDict()
         for rel in relations:
             self.add(rel)
         self.fds: FDSet = fds if fds is not None else FDSet()
@@ -148,6 +144,7 @@ class Database:
         self._relation_plans.clear()
         self._guard_lookups.clear()
         self._udf_filters.clear()
+        self._queries.clear()
 
     def rebuild_codec(self, codec: Codec | None = None) -> Codec:
         """Swap in a fresh (or caller-shared) codec and re-encode every
@@ -206,6 +203,16 @@ class Database:
             for name, rel in self.relations.items()
         }
 
+    def query_log_sizes(self, query) -> dict[str, float]:
+        """log2 of each of ``query``'s atoms' cardinalities, memoized per
+        query (:meth:`compiled`); shared, so callers must not mutate it."""
+
+        def build() -> dict[str, float]:
+            log_sizes = self.log_sizes()
+            return {atom.name: log_sizes[atom.name] for atom in query.atoms}
+
+        return self.compiled(query, "log_sizes", build)
+
     @property
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.relations.values())
@@ -233,6 +240,32 @@ class Database:
     def _plan_salt(self) -> tuple[int, int]:
         return (len(self.fds), len(self.udfs))
 
+    def compiled(self, query, product: Hashable, build: Callable[[], object]):
+        """The memoized compile product ``product`` of ``query`` on this
+        database, computed by ``build()`` on the first request.
+
+        Products are pure functions of the query's content and this
+        database's stored relations, fds and UDFs: the inputs' log-sizes,
+        the admission bound, the planner's verdicts and chain, the
+        closure trick's expanded database, the generic join's access
+        paths.  Results and work counts are never memoized.  The entry
+        for a query lives in an LRU capped at :data:`PLAN_CACHE_MAX`;
+        the salt keys out post-hoc fd or UDF registration and
+        :meth:`add`/:meth:`rebuild_codec` clear it, so a hit is never
+        stale.  Nothing is filled before the first read, so building a
+        database costs the same as without the memo.
+        """
+        key = (query.content_key(), self._plan_salt())
+        entry = lru_get(self._queries, key)
+        if entry is None:
+            entry = {}
+            _lru_put(self._queries, key, entry)
+        try:
+            return entry[product]
+        except KeyError:
+            value = entry[product] = build()
+            return value
+
     def _guard_lookup(
         self,
         guard: Relation,
@@ -242,7 +275,7 @@ class Database:
         encoded: bool,
     ) -> dict:
         key = (guard.name, key_attrs, value_attrs, multi, encoded)
-        cached = _lru_get(self._guard_lookups, key)
+        cached = lru_get(self._guard_lookups, key)
         if cached is None:
             build = build_multi_guard_lookup if multi else build_guard_lookup
             source = self.runtime(guard.name) if encoded else guard
@@ -399,7 +432,7 @@ class Database:
         if encoded and self.codec is None:
             raise ValueError("encoded plan requested on a codec-less database")
         key = (source_schema, target, encoded, self._plan_salt())
-        cached = _lru_get(self._tuple_plans, key)
+        cached = lru_get(self._tuple_plans, key)
         if cached is not None:
             return cached
         goal = (
@@ -438,7 +471,7 @@ class Database:
         source_schema = tuple(source_schema)
         vars_seq = tuple(vars_seq)
         key = ("run", source_schema, vars_seq, encoded, self._plan_salt())
-        cached = _lru_get(self._tuple_plans, key)
+        cached = lru_get(self._tuple_plans, key)
         if cached is not None:
             return cached if isinstance(cached, ExpansionPlan) else None
         schema = source_schema
@@ -475,7 +508,7 @@ class Database:
         if encoded and self.codec is None:
             raise ValueError("encoded plan requested on a codec-less database")
         key = (source_schema, encoded, self._plan_salt())
-        cached = _lru_get(self._relation_plans, key)
+        cached = lru_get(self._relation_plans, key)
         if cached is not None:
             return cached
         goal = self.fds.closure(frozenset(source_schema))
@@ -679,7 +712,7 @@ class Database:
         """
         schema = tuple(schema)
         key = (schema, len(self.udfs), encoded)
-        cached = _lru_get(self._udf_filters, key)
+        cached = lru_get(self._udf_filters, key)
         if cached is None:
             checks = self._udf_check_triples(schema)
             if not checks:
@@ -716,7 +749,7 @@ class Database:
                 )
                 exec(source, namespace)
                 cached = (namespace["consistent"],)
-            self._udf_filters[key] = cached
+            _lru_put(self._udf_filters, key, cached)
         return cached[0]
 
     def final_filter(

@@ -11,9 +11,9 @@ Prefix bindings are raw tuples over ``order[:depth]``, evaluated
 level-wise: the whole depth-d frontier extends to depth d+1 in one pass,
 so FD-determined variables bind through a single batched plan execution.
 Candidate indexes, verification keys, FD closures and expansion plans are
-derived once per depth, and the hash indexes themselves are built on
-first probe — a frontier that dies early never pays for the depths below
-it.
+derived once per depth and memoized per (query, order, database), and the
+hash indexes themselves are built on first probe — a frontier that dies
+early never pays for the depths below it.
 """
 
 from __future__ import annotations
@@ -40,29 +40,17 @@ class GenericJoinStats:
     per_depth: list[int] = field(default_factory=list)
 
 
-def generic_join(
-    query: Query,
-    db: Database,
-    order: Sequence[str] | None = None,
-    fd_aware: bool = False,
-    counter: WorkCounter | None = None,
-) -> tuple[Relation, GenericJoinStats]:
-    """Evaluate ``query`` on ``db`` by variable elimination.
-
-    ``order`` is the global variable order (defaults to the query's variable
-    order).  For each prefix binding, the candidate set for the next
-    variable is the intersection of the matching values across all atoms
-    containing it, iterated from the smallest candidate list — the classic
-    worst-case-optimality argument.  UDF-defined predicates participate
-    only through ``fd_aware`` (an oblivious engine cannot see them as
-    relations it can scan).
-    """
-    order = tuple(order) if order is not None else query.variables
-    if (len(order) != len(query.variables)
-            or set(order) != set(query.variables)):
-        raise ValueError("order must be a permutation of the query variables")
-    stats = GenericJoinStats(per_depth=[0] * len(order))
-    encoded = db.encoded
+def _access_paths(
+    query: Query, db: Database, order: tuple[str, ...], fd_aware: bool
+) -> tuple:
+    """The join's per-depth compiled access paths, FD-determined depths,
+    lazily filled expansion-plan slots, determined-run lengths and UDF
+    filter for ``order`` on ``db``'s active plane.  A pure function of
+    the query, the order and the database, so :func:`generic_join`
+    memoizes it per database (:meth:`Database.compiled`); the lazily
+    filled slots only ever receive the relation's or database's own
+    cached index, key set, key block or plan, so concurrent joins may
+    share them."""
     # Prefixes, candidate probes and verification all run on the active
     # plane (encoded twins when the database carries a codec).
     relations = {atom.name: db.runtime(atom.name) for atom in query.atoms}
@@ -139,7 +127,40 @@ def generic_join(
     for depth in range(len(order) - 1, -1, -1):
         det_run[depth] = det_run[depth + 1] + 1 if determined[depth] else 0
 
-    consistent = db.udf_filter(order, encoded=encoded)
+    consistent = db.udf_filter(order, encoded=db.encoded)
+    return choose_paths, verify_paths, determined, plans, det_run, consistent
+
+
+def generic_join(
+    query: Query,
+    db: Database,
+    order: Sequence[str] | None = None,
+    fd_aware: bool = False,
+    counter: WorkCounter | None = None,
+) -> tuple[Relation, GenericJoinStats]:
+    """Evaluate ``query`` on ``db`` by variable elimination.
+
+    ``order`` is the global variable order (defaults to the query's variable
+    order).  For each prefix binding, the candidate set for the next
+    variable is the intersection of the matching values across all atoms
+    containing it, iterated from the smallest candidate list — the classic
+    worst-case-optimality argument.  UDF-defined predicates participate
+    only through ``fd_aware`` (an oblivious engine cannot see them as
+    relations it can scan).
+    """
+    order = tuple(order) if order is not None else query.variables
+    if (len(order) != len(query.variables)
+            or set(order) != set(query.variables)):
+        raise ValueError("order must be a permutation of the query variables")
+    stats = GenericJoinStats(per_depth=[0] * len(order))
+    encoded = db.encoded
+    choose_paths, verify_paths, determined, plans, det_run, consistent = (
+        db.compiled(
+            query,
+            ("generic_join", order, fd_aware),
+            lambda: _access_paths(query, db, order, fd_aware),
+        )
+    )
 
     def verify_binding(candidate: tuple, depth: int) -> bool:
         """Check the new value against every atom fully bound so far."""

@@ -54,7 +54,9 @@ class TrieIndex:
     bisects, and the child nodes aligned with ``keys``.  ``int_keys=True``
     (the dictionary-encoded plane) declares every key a plain int, so the
     comparison array *is* the key list.  Otherwise it is the keys'
-    ``_sort_key`` array, built once with the node.
+    ``_sort_key`` array, built once with the node.  Joins read tries
+    through :meth:`Relation.trie <repro.engine.relation.Relation.trie>`,
+    which builds each (relation, order, plane) trie once and caches it.
     """
 
     def __init__(
@@ -196,11 +198,9 @@ def leapfrog_triejoin(
     encoded = db.encoded and not use_reference
     stats = LeapfrogStats()
     roots = [
-        TrieIndex(
-            db.runtime(atom.name) if encoded else db.relations[atom.name],
-            order,
-            int_keys=encoded,
-        ).root
+        (db.runtime(atom.name) if encoded else db.relations[atom.name]).trie(
+            order, int_keys=encoded
+        )
         for atom in query.atoms
     ]
     # For each depth: the atoms (by index) whose trie has a level for it.

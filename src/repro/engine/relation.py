@@ -225,6 +225,27 @@ class Relation:
             self._key_blocks[key] = cached
         return cached
 
+    def trie(self, order: Sequence[str], int_keys: bool = False) -> tuple:
+        """The root of the sorted trie over this relation in ``order``
+        (:class:`repro.engine.leapfrog.TrieIndex`), cached per (order,
+        plane) like :meth:`key_block`.  ``order`` may name variables
+        outside the schema (a query's variable order); only this
+        relation's attributes shape the trie.  Nodes are
+        ``(keys, cmp, children)`` triples that no join mutates, so every
+        query over this relation, concurrent ones included, shares one
+        trie."""
+        order = tuple(a for a in order if a in self._varset)
+        key = ("trie", order, int_keys)
+        if self._key_blocks is None:
+            self._key_blocks = {}
+        cached = self._key_blocks.get(key)
+        if cached is None:
+            from repro.engine.leapfrog import TrieIndex
+
+            cached = TrieIndex(self, order, int_keys=int_keys).root
+            self._key_blocks[key] = cached
+        return cached
+
     def join_block(self, key_attrs: Sequence[str], payload_attrs: Sequence[str]):
         """``(sorted_keys, payload)`` for vectorized probe joins — the
         build side of ``frontier.key_join``.

@@ -9,18 +9,28 @@ the paper really are lattices.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Iterable
 
 from repro.fds.fd import FD, FDSet, varset
 from repro.lattice.lattice import Lattice
+from repro.util.lru import lru_get, lru_put
 
 
 # Interned FD-lattices keyed by their closed-set family.  Lattices are
 # immutable after construction, so benchmark sweeps and repeated planner
 # calls that rebuild the same query lattice share one object — and with it
 # the per-lattice LP memo (repro.lp.cllp.lattice_lp_cache) and its
-# meet/join tables.
-_FD_LATTICE_CACHE: dict[frozenset, Lattice] = {}
+# meet/join tables.  LRU-capped: a long-uptime service sees one family per
+# distinct query shape, and an evicted lattice is merely rebuilt.
+_FD_LATTICE_CACHE: "OrderedDict[frozenset, Lattice]" = OrderedDict()
+FD_LATTICE_CACHE_MAX = 256
+
+# Lattice presentations keyed by ``Query.content_key()``: a hit skips the
+# closed-set enumeration (``FDSet.closed_sets``) and the closures of the
+# atoms, which dominate a repeated read's set-up.
+_QUERY_LATTICE_CACHE: "OrderedDict[tuple, tuple[Lattice, dict]]" = OrderedDict()
+QUERY_LATTICE_CACHE_MAX = 1024
 
 
 def lattice_from_fds(
@@ -31,10 +41,10 @@ def lattice_from_fds(
     closed = fds.closed_sets(universe)
     closed.add(fds.closure(universe))  # ensure the top is present
     key = frozenset(closed)
-    cached = _FD_LATTICE_CACHE.get(key)
+    cached = lru_get(_FD_LATTICE_CACHE, key)
     if cached is None:
         cached = Lattice.from_closed_sets(closed)
-        _FD_LATTICE_CACHE[key] = cached
+        lru_put(_FD_LATTICE_CACHE, key, cached, FD_LATTICE_CACHE_MAX)
     return cached
 
 
@@ -43,14 +53,22 @@ def lattice_from_query(query) -> tuple[Lattice, dict[str, int]]:
 
     Returns the lattice plus a map from atom name to the lattice element that
     is the *closure* of the atom's attributes (the paper assumes w.l.o.g.
-    that inputs are closed sets, via the expansion procedure).
+    that inputs are closed sets, via the expansion procedure).  Memoized on
+    the query's content; every call returns a fresh ``inputs`` dict, so a
+    caller may mutate it without corrupting the memo.
     """
-    lattice = lattice_from_fds(query.fds, query.variables)
-    inputs = {
-        atom.name: lattice.index(query.fds.closure(atom.varset))
-        for atom in query.atoms
-    }
-    return lattice, inputs
+    key = query.content_key()
+    cached = lru_get(_QUERY_LATTICE_CACHE, key)
+    if cached is None:
+        lattice = lattice_from_fds(query.fds, query.variables)
+        inputs = {
+            atom.name: lattice.index(query.fds.closure(atom.varset))
+            for atom in query.atoms
+        }
+        cached = (lattice, inputs)
+        lru_put(_QUERY_LATTICE_CACHE, key, cached, QUERY_LATTICE_CACHE_MAX)
+    lattice, inputs = cached
+    return lattice, dict(inputs)
 
 
 def boolean_algebra(variables: Iterable[str] | str) -> Lattice:

@@ -10,6 +10,7 @@ construction (Lemma 5.33 / Thm. 5.34).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -20,20 +21,34 @@ from repro.lattice.lattice import Lattice
 from repro.lattice.polymatroid import LatticeFunction
 from repro.lp.exact import ExactCertificate
 from repro.lp.solver import solve_lp
+from repro.util.lru import lru_get, lru_put
 
 
-def lattice_lp_cache(lattice: Lattice) -> dict:
+#: LRU cap on each lattice's LP memo.  The memo gains an entry per
+#: distinct cardinality vector, so without a cap it would grow with every
+#: differently-sized database a long-running service sees for one query
+#: shape; an evicted solution is merely re-solved.
+LP_MEMO_MAX = 512
+
+
+def lattice_lp_cache(lattice: Lattice) -> OrderedDict:
     """Per-lattice memo for LP solutions and constraint-matrix skeletons.
 
     Attached to the lattice instance (lattices are immutable after
     construction), so CSMA restarts, per-branch re-solves and the planner's
     repeated bound queries all share one cache with the lattice's lifetime.
+    Read it with :func:`repro.util.lru.lru_get` and fill it with
+    :func:`lp_memo_put`, which keeps it at :data:`LP_MEMO_MAX` entries.
     """
     cache = lattice.__dict__.get("_lp_memo")
     if cache is None:
-        cache = {}
-        lattice._lp_memo = cache
+        cache = lattice.__dict__.setdefault("_lp_memo", OrderedDict())
     return cache
+
+
+def lp_memo_put(cache: OrderedDict, key, value) -> None:
+    """Store ``value`` in a lattice LP memo, evicting down to the cap."""
+    lru_put(cache, key, value, LP_MEMO_MAX)
 
 
 def _solution_cache_key(*parts) -> tuple:
@@ -194,7 +209,7 @@ class ConditionalLLP:
         lat = self.lattice
         cache = lattice_lp_cache(lat)
         key = ("cllp-primal-skel", degree_pairs)
-        skeleton = cache.get(key)
+        skeleton = lru_get(cache, key)
         if skeleton is None:
             a_ub: list[list[float]] = []
             for x, y in degree_pairs:
@@ -224,7 +239,7 @@ class ConditionalLLP:
                 np.ascontiguousarray(costs, dtype=float),
                 np.ascontiguousarray([eq_row], dtype=float),
             )
-            cache[key] = skeleton
+            lp_memo_put(cache, key, skeleton)
         return skeleton
 
     def _solve_primal_lp(self):
@@ -249,7 +264,7 @@ class ConditionalLLP:
         lat = self.lattice
         cache = lattice_lp_cache(lat)
         key = ("cllp-dual-skel", degree_pairs)
-        skeleton = cache.get(key)
+        skeleton = lru_get(cache, key)
         if skeleton is None:
             incomparable = lat.incomparable_pairs
             cover_pairs = self._cover_pairs()
@@ -288,7 +303,7 @@ class ConditionalLLP:
                 incomparable,
                 cover_pairs,
             )
-            cache[key] = skeleton
+            lp_memo_put(cache, key, skeleton)
         return skeleton
 
     def solve_dual(self) -> DualCLLP:
@@ -339,7 +354,7 @@ class ConditionalLLP:
         key = _solution_cache_key(
             "cllp-solve", tuple(sorted(self.bounds_by_pair().items()))
         )
-        cached = cache.get(key)
+        cached = lru_get(cache, key)
         if cached is None:
             primal = self._solve_primal_lp()
             dual = self.solve_dual()
@@ -349,5 +364,5 @@ class ConditionalLLP:
                 dual=dual,
                 certificate=primal.certificate,
             )
-            cache[key] = cached
+            lp_memo_put(cache, key, cached)
         return cached

@@ -16,9 +16,10 @@ from typing import Mapping, Sequence
 
 from repro.lattice.lattice import Lattice
 from repro.lattice.polymatroid import LatticeFunction
-from repro.lp.cllp import _solution_cache_key, lattice_lp_cache
+from repro.lp.cllp import _solution_cache_key, lattice_lp_cache, lp_memo_put
 from repro.lp.exact import ExactCertificate
 from repro.lp.solver import solve_lp
+from repro.util.lru import lru_get
 from repro.util.rational import rationalize
 
 
@@ -141,7 +142,7 @@ class LatticeLinearProgram:
     def _solve_primal_full(self) -> tuple[float, LatticeFunction, "ExactCertificate | None"]:
         cache = lattice_lp_cache(self.lattice)
         key = _solution_cache_key("llp-primal", self._memo_key)
-        cached = cache.get(key)
+        cached = lru_get(cache, key)
         if cached is not None:
             return cached
         lat = self.lattice
@@ -158,7 +159,7 @@ class LatticeLinearProgram:
         solution = solve_lp(costs, a_ub, b_ub, a_eq=[eq_row], b_eq=[0.0])
         h_raw = LatticeFunction(lat, solution.x_rational)
         result = (-solution.objective, h_raw, solution.certificate)
-        cache[key] = result
+        lp_memo_put(cache, key, result)
         return result
 
     def solve_dual(self) -> OutputInequality:
@@ -225,7 +226,7 @@ class LatticeLinearProgram:
         """
         cache = lattice_lp_cache(self.lattice)
         key = _solution_cache_key("llp-solve", self._memo_key)
-        cached = cache.get(key)
+        cached = lru_get(cache, key)
         if cached is None:
             objective, h_raw, certificate = self._solve_primal_full()
             inequality = self.solve_dual()
@@ -237,7 +238,7 @@ class LatticeLinearProgram:
                 inequality=inequality,
                 certificate=certificate,
             )
-            cache[key] = cached
+            lp_memo_put(cache, key, cached)
         return cached
 
 

@@ -56,6 +56,7 @@ from repro.lp.exact import (
     LPError,
     solve_exact_lp,
 )
+from repro.util.lru import lru_get, lru_put
 from repro.util.rational import rationalize
 
 try:  # scipy is an optional extra (setup.py [scipy]); the exact backend
@@ -293,9 +294,8 @@ def solve_lp(
         max_denominator,
         backend,
     )
-    cached = _SOLVE_CACHE.get(cache_key)
+    cached = lru_get(_SOLVE_CACHE, cache_key)
     if cached is not None:
-        _SOLVE_CACHE.move_to_end(cache_key)
         return cached
 
     solution = _solve_exact(costs, kwargs)
@@ -305,7 +305,5 @@ def solve_lp(
         )
         solution.backend = "both"
 
-    _SOLVE_CACHE[cache_key] = solution
-    if len(_SOLVE_CACHE) > _SOLVE_CACHE_MAX:
-        _SOLVE_CACHE.popitem(last=False)
+    lru_put(_SOLVE_CACHE, cache_key, solution, _SOLVE_CACHE_MAX)
     return solution

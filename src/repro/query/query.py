@@ -55,11 +55,31 @@ class Query:
             if attr not in variables:
                 variables.append(attr)
         self.variables: tuple[str, ...] = tuple(variables)
+        self._content_key: tuple | None = None
 
     # ------------------------------------------------------------------
     @property
     def varset(self) -> VarSet:
         return frozenset(self.variables)
+
+    def content_key(self) -> tuple:
+        """A hashable key for what the query *is*: its atoms' names and
+        variable sets, its fds and its variable order.  Two queries with
+        equal keys have the same lattice presentation (Sec. 3.1), so the
+        compile memos (``lattice_from_query``, ``Database.compiled``) key
+        on this rather than on the object's identity.  ``fds`` may grow
+        after construction (``FDSet.add`` only appends), so the cached
+        key is salted with the fd set and its length."""
+        fds = self.fds
+        cached = self._content_key
+        if cached is None or cached[0] is not fds or cached[1] != len(fds):
+            key = (
+                tuple((atom.name, atom.varset) for atom in self.atoms),
+                frozenset(fds),
+                self.variables,
+            )
+            cached = self._content_key = (fds, len(fds), key)
+        return cached[2]
 
     def atom(self, name: str) -> Atom:
         for candidate in self.atoms:

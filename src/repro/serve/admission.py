@@ -15,9 +15,10 @@ heuristic.  (The old ``REPRO_ADMIT_EXACT_MAX`` lattice-size cutoff,
 which left big-lattice decisions uncertified, is gone: the sparse
 Fraction simplex handles the big programs.)
 
-The solve itself is cheap and memoized per lattice
-(:mod:`repro.lp.llp`), so repeated submissions of the same query shape
-hit the cache.
+The solve is memoized twice: per lattice (:mod:`repro.lp.llp`), so the
+same query shape on equal cardinalities hits the LP memo, and per
+(query, database) in :meth:`~repro.engine.database.Database.compiled`,
+so a repeated read skips even the LP set-up.
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ def certified_bound(query, db) -> tuple[float, LLPSolution, bool]:
     verified certificate — which the forced exact backend always does.
     """
     lattice, inputs = lattice_from_query(query)
-    log_sizes = {name: db.log_sizes()[name] for name in inputs}
-    program = LatticeLinearProgram(lattice, inputs, log_sizes)
-    with forced_lp_backend("exact"):
-        solution = program.solve()
-    certified = solution.certificate is not None
-    return solution.objective, solution, certified
+
+    def solve() -> tuple[float, LLPSolution, bool]:
+        log_sizes = db.query_log_sizes(query)
+        program = LatticeLinearProgram(lattice, inputs, log_sizes)
+        with forced_lp_backend("exact"):
+            solution = program.solve()
+        return solution.objective, solution, solution.certificate is not None
+
+    return db.compiled(query, "certified_bound", solve)
 
 
 def admit(

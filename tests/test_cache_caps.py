@@ -7,15 +7,23 @@ assert the answers stay identical to fresh computation.
 """
 
 import random
+import threading
+from collections import OrderedDict
+from contextvars import copy_context
 
 import pytest
 
 import repro.engine.database as database_mod
 import repro.engine.relation as relation_mod
+import repro.lp.cllp as cllp_mod
 import repro.lp.solver as solver_mod
 from repro.engine.relation import Relation
 from repro.fds.fd import FD, FDSet
+from repro.lattice import builders
+from repro.lp.llp import LatticeLinearProgram
 from repro.lp.solver import solve_lp
+from repro.query.query import Atom, Query
+from repro.util.lru import lru_get, lru_put
 
 
 # ----------------------------------------------------------------------
@@ -238,3 +246,140 @@ def test_uptime_simulation_bounds_caches_and_preserves_answers(monkeypatch):
         assert tenant.compactions >= 1
         assert tenant.codec.total_values() <= 60 + 3 * 16
         assert service.metrics()["completed"] == days
+
+
+# ----------------------------------------------------------------------
+# The shared LRU helpers under concurrent eviction
+# ----------------------------------------------------------------------
+class _PausingCache(OrderedDict):
+    """An LRU memo whose hits, in the thread named ``reader``, pause
+    between the lookup and the recency refresh until another thread has
+    run — the interleaving in which a concurrent insert evicts the key
+    that was just found."""
+
+    def __init__(self):
+        super().__init__()
+        self.hit_taken = threading.Event()
+        self.evicted = threading.Event()
+
+    def get(self, key, default=None):
+        hit = super().get(key, default)
+        if hit is not None and threading.current_thread().name == "reader":
+            self.hit_taken.set()
+            assert self.evicted.wait(10)
+        return hit
+
+
+def _run_race(cache: _PausingCache, read, evict) -> list:
+    """Run ``read`` in a reader thread that pauses after its cache hit
+    while ``evict`` runs here; returns the reader's exceptions."""
+    errors = []
+
+    def reader():
+        try:
+            read()
+        except Exception as exc:  # reported to the caller
+            errors.append(exc)
+
+    thread = threading.Thread(
+        target=copy_context().run, args=(reader,), name="reader"
+    )
+    thread.start()
+    assert cache.hit_taken.wait(10)
+    evict()
+    cache.evicted.set()
+    thread.join(10)
+    assert not thread.is_alive()
+    return errors
+
+
+def test_plan_cache_hit_survives_a_concurrent_eviction(monkeypatch):
+    """Two threads, cap 1: a hit whose key another thread's insert evicts
+    before the recency refresh still returns its plan (the helpers used
+    to raise ``KeyError`` from ``move_to_end``, which the service turned
+    into an absorbed fault and a degraded response)."""
+    monkeypatch.setattr(database_mod, "PLAN_CACHE_MAX", 1)
+    db = _chain_database()
+    plan = db.relation_plan(("a",))
+    cache = _PausingCache()
+    cache.update(db._relation_plans)
+    db._relation_plans = cache
+    got = []
+    errors = _run_race(
+        cache,
+        lambda: got.append(db.relation_plan(("a",))),
+        lambda: db.relation_plan(("b",)),
+    )
+    assert errors == []
+    assert got == [plan]
+    assert list(db._relation_plans) != [] and len(db._relation_plans) <= 1
+
+
+def test_solve_memo_hit_survives_a_concurrent_eviction(monkeypatch):
+    cache = _PausingCache()
+    monkeypatch.setattr(solver_mod, "_SOLVE_CACHE", cache)
+    monkeypatch.setattr(solver_mod, "_SOLVE_CACHE_MAX", 1)
+    first = solve_lp([1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+    got = []
+    errors = _run_race(
+        cache,
+        lambda: got.append(
+            solve_lp([1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        ),
+        lambda: solve_lp([2.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0]),
+    )
+    assert errors == []
+    assert got == [first]
+
+
+def test_eviction_tolerates_a_memo_drained_concurrently():
+    """An insert whose eviction loop finds the memo already drained by a
+    concurrent insert stops instead of raising."""
+
+    class Drained(OrderedDict):
+        def popitem(self, last=True):
+            self.clear()  # another thread evicted everything meanwhile
+            return super().popitem(last=last)
+
+    cache = Drained()
+    lru_put(cache, "a", 1, 0)
+    assert len(cache) == 0
+    assert lru_get(cache, "a") is None
+
+
+# ----------------------------------------------------------------------
+# Process-wide memos: lattices, lattice presentations, per-lattice LPs
+# ----------------------------------------------------------------------
+def test_lattice_memos_stay_at_their_caps(monkeypatch):
+    monkeypatch.setattr(builders, "FD_LATTICE_CACHE_MAX", 3)
+    monkeypatch.setattr(builders, "QUERY_LATTICE_CACHE_MAX", 4)
+    monkeypatch.setattr(builders, "_FD_LATTICE_CACHE", OrderedDict())
+    monkeypatch.setattr(builders, "_QUERY_LATTICE_CACHE", OrderedDict())
+    queries = []
+    for i in range(10):
+        # Ten distinct closed-set families: with or without a → b, over
+        # zero to four extra free variables.
+        extra = tuple(f"v{j}" for j in range(i % 5))
+        fds = FDSet([FD("a", "b")] if i >= 5 else [], ("a", "b") + extra)
+        queries.append(Query([Atom("R", ("a", "b") + extra)], fds))
+    for query in queries * 2:
+        lattice, inputs = builders.lattice_from_query(query)
+        closed = query.fds.closed_sets(query.variables)
+        assert set(lattice.elements) == closed | {query.varset}
+        assert inputs == {"R": lattice.top}
+        assert len(builders._FD_LATTICE_CACHE) <= 3
+        assert len(builders._QUERY_LATTICE_CACHE) <= 4
+
+
+def test_lattice_lp_memo_stays_at_its_cap(monkeypatch):
+    monkeypatch.setattr(cllp_mod, "LP_MEMO_MAX", 4)
+    lattice, inputs = builders.fig1_lattice()
+    objectives = {}
+    # One memo entry (or two) per distinct cardinality vector.
+    for _ in range(2):
+        for n in range(1, 9):
+            log_sizes = {name: float(n + k) for k, name in enumerate(inputs)}
+            program = LatticeLinearProgram(lattice, inputs, log_sizes)
+            objective = program.solve().objective
+            assert objectives.setdefault(n, objective) == objective
+            assert len(cllp_mod.lattice_lp_cache(lattice)) <= 4
