@@ -3,20 +3,17 @@
 E16 gates the paper's *shapes* (growth exponents, bit-identical
 ``tuples_touched``) on sub-second instances; E17 gates the *engineering*
 claim of the columnar data plane on ≥1M-row frontiers.  Each workload
-runs four times on identical data — decoded plane (``encode=False``,
+runs three times on identical data — decoded plane (``encode=False``,
 the PR3 kernel), encoded plane with the ndarray frontier backend forced
-*off* (the generated row-loop kernel), encoded plane as shipped
+*off* (the generated row-loop kernel), and encoded plane as shipped
 (the array-of-int64 frontier engages per ``REPRO_BATCH_NDARRAY``,
-``auto`` by default, and runs the fused block executor; sharding per
-``REPRO_SHARD``), and encoded plane with the PR7 sharded worker-pool
-dispatch forced *on* — and must satisfy:
+``auto`` by default, and runs the fused block executor) — and must
+satisfy:
 
 * **Plane equivalence** — identical result sets and bit-identical
-  ``tuples_touched`` across all four runs (encoding is a bijection, the
-  block backend charges the row-loop's exact counts, and the sharded
-  merge is shard-count-independent by construction; any drift is a
-  kernel bug, asserted here *and* in ``tests/test_ndarray_frontier.py``
-  / ``tests/test_shard_frontier.py``).
+  ``tuples_touched`` across all three runs (encoding is a bijection and
+  the block backend charges the row-loop's exact counts; any drift is a
+  kernel bug, asserted here *and* in ``tests/test_ndarray_frontier.py``).
 * **Speedup** (full sizes only) — the shipped encoded plane must beat
   the decoded plane wall-clock by each workload's gated floor (2× by
   default; see ``SIZES`` for documented per-workload overrides).
@@ -24,12 +21,6 @@ dispatch forced *on* — and must satisfy:
   (``repro.datagen.large.composite``): the decoded plane re-hashes eight
   components per probe, the encoded plane probes with small ints, flat
   dense tables, or whole int64 columns.
-* **Shard speedup** (full sizes, ≥4-CPU hosts only) — the forced-shard
-  plane must beat the single-worker encoded plane by ≥1.5× on at least
-  two workloads.  On fewer cores the ratio is still measured and
-  recorded (``shard_speedup`` per workload) but not gated: a worker
-  pool cannot beat one core on one core, and a floor that encodes the
-  machine rather than the code is noise.
 
 Six workloads cover the five engine families: the Chain Algorithm on
 guarded query (1) skew, SMA's SM-joins on a dense triangle, FD-aware
@@ -66,7 +57,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro import config
 from repro.core.chain_algorithm import chain_algorithm
 from repro.core.csma import csma
 from repro.core.sma import submodularity_algorithm
@@ -81,7 +71,6 @@ from repro.datagen.large import (
 )
 from repro.engine import frontier as frontier_blocks
 from repro.engine import fused as frontier_fused
-from repro.engine import shard as frontier_shard
 from repro.engine.generic_join import generic_join
 from repro.engine.leapfrog import leapfrog_triejoin
 from repro.lattice.builders import lattice_from_query
@@ -90,43 +79,17 @@ from repro.lp.cllp import DegreeConstraint
 
 MIN_SPEEDUP = 2.0
 
-#: The shard-speedup floor (``encoded`` vs ``encoded-sharded`` wall) is
-#: only gated on machines that can physically exhibit parallel speedup:
-#: on a 1-CPU container every extra worker is pure scheduling overhead
-#: and a hard floor would gate on hardware, not code.  On ≥4-CPU hosts
-#: at least SHARD_GATE_MIN_WORKLOADS workloads must clear the floor.
-SHARD_MIN_SPEEDUP = 1.5
-SHARD_GATE_MIN_CPUS = 4
-SHARD_GATE_MIN_WORKLOADS = 2
-
-#: The four execution configurations every workload runs.  ``encoded``
+#: The three execution configurations every workload runs.  ``encoded``
 #: is the shipped kernel (ndarray frontier per REPRO_BATCH_NDARRAY, auto
 #: by default — engaged at every E17 size, through the fused block
-#: executor; sharding per REPRO_SHARD, which defaults to ``auto`` and
-#: stays single-worker on 1-CPU hosts);
-#: ``encoded-ndoff`` pins the block backend *and* sharding off (the
+#: executor); ``encoded-ndoff`` pins the block backend off (the
 #: generated row-loop kernel) so the sweep itself certifies
-#: block-vs-row-loop count equality at scale; ``encoded-sharded`` forces
-#: the PR7 sharded dispatch on at :func:`shard_worker_count` workers, so
-#: every sweep certifies shard-vs-single-worker bit-identity at full
-#: scale and records the measured shard speedup.
+#: block-vs-row-loop count equality at scale.
 PLANES = (
     "decoded",
     "encoded-ndoff",
     "encoded",
-    "encoded-sharded",
 )
-
-
-def shard_worker_count() -> int:
-    """Workers for the ``encoded-sharded`` plane: ``REPRO_SHARD_WORKERS``
-    when set, else min(4, cpu_count) but never fewer than 2 — the plane
-    must actually fan out even on a 1-CPU box (there it measures the
-    overhead honestly; the speedup floor is cpu-gated separately)."""
-    workers = config.get("REPRO_SHARD_WORKERS", default=0)
-    if workers:
-        return max(1, workers)
-    return max(2, min(4, os.cpu_count() or 1))
 
 #: Smoke sizes run in CI (seconds); full sizes are the ≥1M-row frontiers
 #: recorded in BENCH_<tag>.json.  Both are recorded by the full sweep so
@@ -260,11 +223,9 @@ def run_one(name: str, n: int, plane: str) -> dict:
 
     ``plane`` is one of :data:`PLANES`: ``decoded`` disables the codec,
     ``encoded-ndoff`` runs the encoded kernel with the ndarray frontier
-    backend (and sharding) pinned off, ``encoded`` runs the shipped
-    configuration (``REPRO_BATCH_NDARRAY`` / ``REPRO_SHARD`` env
-    respected, both ``auto`` by default),
-    ``encoded-sharded`` forces the sharded dispatch on at
-    :func:`shard_worker_count` workers.  Each run times the query
+    backend pinned off, ``encoded`` runs the shipped configuration
+    (``REPRO_BATCH_NDARRAY`` env respected, ``auto`` by default).  Each
+    run times the query
     twice: the cold first query (lazy plan/pipeline/index compilation —
     recorded as ``first_query_s``) and a warm second run, whose wall is
     ``wall_s`` — the steady-state cost every speedup and floor
@@ -274,13 +235,8 @@ def run_one(name: str, n: int, plane: str) -> dict:
     """
     encode = plane != "decoded"
     saved_mode = frontier_blocks.NDARRAY_MODE
-    saved_shard = (frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS)
     if plane == "encoded-ndoff":
         frontier_blocks.NDARRAY_MODE = "off"
-        frontier_shard.SHARD_MODE = "off"
-    elif plane == "encoded-sharded":
-        frontier_shard.SHARD_MODE = "on"
-        frontier_shard.SHARD_WORKERS = shard_worker_count()
     profiled = frontier_fused.PROFILE_STEPS
     try:
         prepare = RUNNERS[name]
@@ -315,7 +271,6 @@ def run_one(name: str, n: int, plane: str) -> dict:
         # leaking "off" into the subsequent "encoded" run would silently
         # measure the row-loop kernel twice.
         frontier_blocks.NDARRAY_MODE = saved_mode
-        frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS = saved_shard
     record = {
         "ingest_s": round(ingest, 4),
         "first_query_s": round(first_query, 4),
@@ -355,16 +310,14 @@ def _run_isolated(name: str, n: int, plane: str) -> dict:
 def run_workload(
     name: str, n: int, isolate: bool = True, reps: int = 1
 ) -> dict:
-    """One workload at one size, on all four planes, with equivalence
+    """One workload at one size, on all three planes, with equivalence
     asserts.
 
-    The decoded run IS the PR3 kernel, the ``encoded-ndoff`` run IS the
-    PR4 kernel, and the ``encoded-sharded`` run IS the PR7 worker-pool
-    dispatch: identical code paths with the codec / block backend /
-    sharding toggled.  Result digests and ``tuples_touched`` must match
-    exactly across every run — in particular the ndarray frontier
-    backend is certified bit-identical to the row-loop backend AND the
-    sharded dispatch bit-identical to single-worker *at full scale*, per
+    The decoded run IS the PR3 kernel and the ``encoded-ndoff`` run IS
+    the PR4 kernel: identical code paths with the codec / block backend
+    toggled.  Result digests and ``tuples_touched`` must match exactly
+    across every run — in particular the ndarray frontier backend is
+    certified bit-identical to the row-loop backend *at full scale*, per
     workload, on every sweep.  ``reps`` isolated runs per plane are taken
     and the *minimum* wall recorded — the standard noise filter on shared
     machines (the workload is deterministic; anything above the min is
@@ -404,8 +357,8 @@ def run_workload(
     record["output_rows"] = enc["output_rows"]
     # The cross-process/cross-config drift gate for check_regression:
     # the digest is order-independent and identical across all planes
-    # (just asserted), so REPRO_SHARD=on and =off sweeps of the same
-    # tree must record the same value per workload.
+    # (just asserted), so REPRO_BATCH_NDARRAY=on and =off sweeps of the
+    # same tree must record the same value per workload.
     record["digest"] = enc["digest"]
     record["speedup"] = round(
         record["wall_decoded_s"] / max(record["wall_encoded_s"], 1e-9), 2
@@ -414,15 +367,6 @@ def run_workload(
         record["wall_encoded_ndoff_s"] / max(record["wall_encoded_s"], 1e-9),
         2,
     )
-    # encoded vs encoded-sharded: only a speedup when REPRO_SHARD is not
-    # forcing the "encoded" plane to shard too (default env: auto →
-    # single-worker below the row threshold / on 1-CPU hosts).
-    record["shard_speedup"] = round(
-        record["wall_encoded_s"]
-        / max(record["wall_encoded_sharded_s"], 1e-9),
-        2,
-    )
-    record["shard_workers"] = shard_worker_count()
     return record
 
 
@@ -451,24 +395,15 @@ def run_sweep(level: str = "full") -> dict:
                 f"  decoded={workloads[key]['wall_decoded_s']:>8.2f}s"
                 f"  ndoff={workloads[key]['wall_encoded_ndoff_s']:>8.2f}s"
                 f"  encoded={workloads[key]['wall_encoded_s']:>8.2f}s"
-                f"  sharded={workloads[key]['wall_encoded_sharded_s']:>8.2f}s"
                 f"  speedup={workloads[key]['speedup']:>6.2f}x",
                 flush=True,
             )
-    cpus = os.cpu_count() or 1
     payload = {
         "level": level,
         "min_speedup_required": MIN_SPEEDUP,
         "workloads": workloads,
         "wall_clock_s": round(time.perf_counter() - start, 4),
         "peak_rss_kb": peak_rss_kb(),
-        "shard": {
-            "workers": shard_worker_count(),
-            "cpu_count": cpus,
-            "mode_env": config.get("REPRO_SHARD"),
-            "min_speedup_required": SHARD_MIN_SPEEDUP,
-            "speedup_gated": cpus >= SHARD_GATE_MIN_CPUS,
-        },
     }
     if level == "full":
         total_dec = sum(w["wall_decoded_s"] for w in workloads.values())
@@ -484,10 +419,6 @@ def run_sweep(level: str = "full") -> dict:
         # comparable across that fix).
         payload["overall_speedup_ndoff"] = round(total_dec / total_ndoff, 2)
         payload["overall_ndarray_speedup"] = round(total_ndoff / total_enc, 2)
-        total_sharded = sum(
-            w["wall_encoded_sharded_s"] for w in workloads.values()
-        )
-        payload["overall_shard_speedup"] = round(total_enc / total_sharded, 2)
     return payload
 
 
@@ -530,32 +461,6 @@ def main(argv: list[str]) -> int:
             failures.append(
                 f"{name}: speedup {record['speedup']}x < {floor}x"
             )
-    # Shard-speedup floor: physically meaningless on <4-CPU hosts (a
-    # worker pool cannot beat one core on one core), so report there and
-    # gate only where hardware permits parallelism.
-    shard_meta = payload["shard"]
-    full_shard = {
-        name: payload["workloads"][f"{name}_n{sizes['full']}"]["shard_speedup"]
-        for name, sizes in SIZES.items()
-    }
-    winners = [
-        name for name, s in full_shard.items() if s >= SHARD_MIN_SPEEDUP
-    ]
-    if shard_meta["speedup_gated"]:
-        if len(winners) < SHARD_GATE_MIN_WORKLOADS:
-            failures.append(
-                f"shard: only {len(winners)} workload(s) reached "
-                f"{SHARD_MIN_SPEEDUP}x shard speedup at "
-                f"{shard_meta['workers']} workers "
-                f"(need {SHARD_GATE_MIN_WORKLOADS}): {full_shard}"
-            )
-    else:
-        print(
-            f"NOTE: shard speedup floor ({SHARD_MIN_SPEEDUP}x on "
-            f">={SHARD_GATE_MIN_WORKLOADS} workloads) not gated: "
-            f"{shard_meta['cpu_count']} CPU(s) < {SHARD_GATE_MIN_CPUS}; "
-            f"measured {full_shard} at {shard_meta['workers']} workers"
-        )
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0

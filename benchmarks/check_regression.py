@@ -8,10 +8,9 @@ trajectory baseline::
 Baseline defaults to the newest committed ``BENCH_PR*.json`` in the repo
 root.  ``--strict-e17`` additionally requires the two files to cover the
 *identical* E17 workload set — the mode CI uses to pin two fresh sweeps
-against each other (ndarray frontier backend forced on vs forced off,
-and since PR7 the sharded dispatch forced on vs off: any
-``tuples_touched`` or result-digest drift between configurations fails
-the gate, and a silently missing workload cannot hide it).
+against each other (ndarray frontier backend forced on vs forced off:
+any ``tuples_touched`` or result-digest drift between configurations
+fails the gate, and a silently missing workload cannot hide it).
 Policy (mirrors PERFORMANCE.md):
 
 * **fail** when a measured E16 growth exponent drifts from the baseline by
@@ -26,9 +25,9 @@ Policy (mirrors PERFORMANCE.md):
   smoke sizes);
 * **fail** when an E17 workload's result-set ``digest`` drifts, when
   both files record one (they do since PR7) — the digest is
-  order-independent over decoded values, so the REPRO_SHARD on/off
-  cross gate pins the *answers*, not just the counts; in ``--strict-e17``
-  mode a missing digest on either side also fails;
+  order-independent over decoded values, so the REPRO_BATCH_NDARRAY
+  on/off cross gate pins the *answers*, not just the counts; in
+  ``--strict-e17`` mode a missing digest on either side also fails;
 * **warn** (never fail) when the E16 sweep wall-clock or an E17
   workload's encoded wall-clock regressed beyond ``WALL_CLOCK_SLACK``,
   or when a full-size E17 workload's recorded speedup fell below the
@@ -36,9 +35,7 @@ Policy (mirrors PERFORMANCE.md):
   runners is not a correctness signal, but the trajectory should be
   visible in the log.  When the two trajectories record differing host
   CPU counts (the top-level ``host`` block, emitted since PR9), every
-  timing warning is annotated as cross-host — the E17 ≥1.5× shard floor
-  in particular has never been measured on a ≥4-core box, and the
-  trajectory files now say so machine-readably.
+  timing warning is annotated as cross-host.
 """
 
 from __future__ import annotations
@@ -72,11 +69,9 @@ def host_note(baseline: dict, fresh: dict) -> str:
     """Cross-host qualifier for wall-clock comparisons.
 
     Trajectories record their machine's parallelism in a top-level
-    ``host`` block (``cpu_count`` and the resolved shard worker count)
-    since PR9.  When the two files come from differently-provisioned
-    machines, every wall-clock and speedup comparison is apples to
-    oranges — in particular the E17 ≥1.5× shard floor cannot be judged
-    against a baseline taken on a 1-core box.  Returns a suffix to
+    ``host`` block (``cpu_count``) since PR9.  When the two files come
+    from differently-provisioned machines, every wall-clock and speedup
+    comparison is apples to oranges.  Returns a suffix to
     append to timing warnings, or ``""`` when the hosts match (or
     either file predates the ``host`` block).
     """
@@ -88,7 +83,7 @@ def host_note(baseline: dict, fresh: dict) -> str:
         return ""
     return (
         f" [cross-host: baseline ran on {base_cpus} CPUs, fresh on "
-        f"{fresh_cpus} — wall-clock and parallel-speedup comparisons "
+        f"{fresh_cpus} — wall-clock and speedup comparisons "
         "are not like-for-like]"
     )
 
@@ -244,8 +239,8 @@ def _compare_e17(
         # Result-set digests (recorded since PR7; older baselines lack
         # them and are skipped).  The digest is order-independent over
         # decoded values, so two sweeps of the same tree — in particular
-        # the REPRO_SHARD=on vs =off CI cross gate — must agree exactly;
-        # a drift is a wrong *answer*, worse than a wrong count.
+        # the REPRO_BATCH_NDARRAY=on vs =off CI cross gate — must agree
+        # exactly; a drift is a wrong *answer*, worse than a wrong count.
         base_digest = base_row.get("digest")
         fresh_digest = fresh_row.get("digest")
         if base_digest and fresh_digest and base_digest != fresh_digest:

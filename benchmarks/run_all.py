@@ -22,14 +22,13 @@ generations honestly:
   the sweep wall-clock (which refactors should shrink);
 * ``e17`` — the large-frontier suite (``bench_e17_large_frontier``):
   per-workload ``tuples_touched`` and result digests (bit-identical
-  across the decoded, encoded, ndarray-off, and forced-shard planes,
-  asserted in-run), every plane's wall-clock, the encoded-plane and
-  shard speedups, peak RSS, and the shard configuration (workers,
-  cpu_count, env mode — the ``shard`` sub-object).  ``--quick`` runs
-  the smoke sizes only; the full ≥1M-row sweep runs otherwise;
-* ``host`` — the machine's parallelism (``cpu_count`` and the resolved
-  shard worker count), so wall-clock comparisons between trajectories
-  from different machines can be qualified by ``check_regression.py``;
+  across the decoded, encoded and ndarray-off planes, asserted
+  in-run), every plane's wall-clock, the encoded-plane speedups and
+  peak RSS.  ``--quick`` runs the smoke sizes only; the full ≥1M-row
+  sweep runs otherwise;
+* ``host`` — the machine's parallelism (``cpu_count``), so wall-clock
+  comparisons between trajectories from different machines can be
+  qualified by ``check_regression.py``;
 * ``serve`` — the PR6 serving suite (``bench_pr6_serve``): closed-loop
   latency percentiles and QPS, open-loop overload behavior, and the
   chaos run's rejection/degradation/failure rates.  Compared warn-only
@@ -171,14 +170,12 @@ def main() -> int:
         "--e17-only",
         action="store_true",
         help="emit only the E17 section at smoke sizes (the CI "
-        "ndarray-on/off and REPRO_SHARD-on/off cross gates each compare "
-        "two such files with check_regression.py --strict-e17)",
+        "ndarray-on/off cross gate compares two such files with "
+        "check_regression.py --strict-e17)",
     )
     args = parser.parse_args()
 
     import os
-
-    from repro.engine import shard
 
     payload = {
         "tag": args.tag,
@@ -186,12 +183,8 @@ def main() -> int:
         "machine": platform.machine(),
         # Host parallelism, recorded at the top level so that
         # check_regression.py can qualify wall-clock comparisons between
-        # trajectories taken on differently-provisioned machines (e.g. the
-        # E17 shard floor needs ≥4 cores to be expressible at all).
-        "host": {
-            "cpu_count": os.cpu_count() or 1,
-            "shard_workers": shard.active_workers(),
-        },
+        # trajectories taken on differently-provisioned machines.
+        "host": {"cpu_count": os.cpu_count() or 1},
     }
     if not args.quick and not args.e17_only:
         print("bench suite:")

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.errors import ReproError
 
@@ -76,9 +76,7 @@ class Knob:
     name: str
     kind: str  # "mode" | "choice" | "int" | "flag" | "str"
     default: object = None
-    #: Lazily-computed default (e.g. ``os.cpu_count``); wins over
-    #: ``default`` when set.  ``default_doc`` names it in the docs.
-    default_factory: Callable[[], object] | None = None
+    #: How the docs name the default, when ``str(default)`` would not.
     default_doc: str | None = None
     choices: tuple[str, ...] = ()
     #: Smallest accepted value of an ``int`` knob (``None`` = unbounded).
@@ -87,18 +85,12 @@ class Knob:
     #: The module(s) consuming the knob — documentation only.
     consumers: tuple[str, ...] = ()
 
-    def default_value(self):
-        if self.default_factory is not None:
-            return self.default_factory()
-        return self.default
-
     def documented_default(self) -> str:
         if self.default_doc is not None:
             return self.default_doc
-        default = self.default_value() if self.default_factory else self.default
         if self.kind == "flag":
-            return "on" if default else "off"
-        return str(default)
+            return "on" if self.default else "off"
+        return str(self.default)
 
     def documented_domain(self) -> str:
         if self.kind == "mode":
@@ -116,7 +108,7 @@ class Knob:
         outside the declared domain.  Empty (after strip) → default."""
         token = raw.strip()
         if token == "":
-            return self.default_value()
+            return self.default
         if self.kind == "int":
             try:
                 value = int(token)
@@ -211,33 +203,6 @@ _DECLARATIONS: tuple[Knob, ...] = (
         description="auto-mode row threshold for the block backend",
         consumers=("repro.engine.frontier",),
     ),
-    # -- sharded execution ---------------------------------------------
-    Knob(
-        "REPRO_SHARD",
-        "mode",
-        default="auto",
-        description=(
-            "sharded block execution: auto engages at REPRO_SHARD_MIN "
-            "rows with >1 worker, on forces shards (and the block "
-            "backend), off disables"
-        ),
-        consumers=("repro.engine.shard",),
-    ),
-    Knob(
-        "REPRO_SHARD_WORKERS",
-        "int",
-        default_factory=lambda: os.cpu_count() or 1,
-        default_doc="cpu_count",
-        description="shard worker-pool size",
-        consumers=("repro.engine.shard",),
-    ),
-    Knob(
-        "REPRO_SHARD_MIN",
-        "int",
-        default=65536,
-        description="auto-mode block-row threshold for sharding",
-        consumers=("repro.engine.shard",),
-    ),
     # -- block executor profiling --------------------------------------
     Knob(
         "REPRO_PROFILE_STEPS",
@@ -271,7 +236,7 @@ _DECLARATIONS: tuple[Knob, ...] = (
         description=(
             "fault-injection spec site:prob,... arming every "
             "QueryService in the process (sites: worker, engine, alloc, "
-            "timeout, shard)"
+            "timeout)"
         ),
         consumers=("repro.serve.faults",),
     ),
@@ -330,6 +295,24 @@ RETIRED: dict[str, str] = {
         "numpy unique-key dedup is deleted with the columnwise backend; "
         "np.unique ran zero times on the e2e and E17 workloads"
     ),
+    "REPRO_SHARD": (
+        "the thread shard backend is deleted; it never paid for itself: "
+        "E17 overall shard speedup 0.97x (fdchain 1M 0.67x, csma 150k "
+        "0.88x; BENCH_PR9), and with shards off the e2e fdchain "
+        "latency_ms median read 101.9 vs 99.5 ms with them on (parity; "
+        "6 alternating pairs, 2-CPU host) and peak_rss_mb 331.9 vs "
+        "348.8 MB, lower in all 6 pairs"
+    ),
+    "REPRO_SHARD_WORKERS": (
+        "the thread shard backend and its pool are deleted; shards ran "
+        "at 0.97x overall on E17 (BENCH_PR9) and at parity on the e2e "
+        "fdchain workload (2-CPU host)"
+    ),
+    "REPRO_SHARD_MIN": (
+        "the thread shard backend is deleted; at the 65536-row auto "
+        "threshold shards were slower than off at fdchain 100k (97/122 "
+        "vs 83/94 ms warm) and at parity at 400k (2-CPU host)"
+    ),
 }
 
 
@@ -351,10 +334,10 @@ def get(name: str, environ: Mapping[str, str] | None = None, default=_UNSET):
 
     Unset or empty values yield the declared default — or ``default``
     when the caller passes one (for call sites whose fallback is not the
-    knob's, e.g. the E17 bench's shard-worker heuristic).  Values
-    outside the declared domain raise :class:`ConfigError`, and so does
-    any retired knob set non-empty in ``environ``: a stale setting must
-    fail loudly rather than silently run the surviving path.
+    knob's).  Values outside the declared domain raise
+    :class:`ConfigError`, and so does any retired knob set non-empty in
+    ``environ``: a stale setting must fail loudly rather than silently
+    run the surviving path.
     """
     entry = knob(name)
     source = os.environ if environ is None else environ
@@ -366,7 +349,7 @@ def get(name: str, environ: Mapping[str, str] | None = None, default=_UNSET):
             )
     raw = source.get(name)
     if raw is None or raw.strip() == "":
-        return entry.default_value() if default is _UNSET else default
+        return entry.default if default is _UNSET else default
     return entry.parse(raw)
 
 

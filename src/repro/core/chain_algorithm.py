@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.engine import frontier as frontier_blocks
-from repro.engine import shard as frontier_shard
 from repro.engine.database import Database
 from repro.engine.expansion_plan import tuple_getter
 from repro.engine.ops import WorkCounter
@@ -261,7 +260,7 @@ def chain_algorithm(
                     keys = info.members_block = info.proj.key_block(
                         info.proj.schema
                     )
-                hit = frontier_shard.block_isin(
+                hit = frontier_blocks.block_isin(
                     ext, plan.positions(info.proj.schema), keys
                 )
                 ext = ext[hit]

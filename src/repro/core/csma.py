@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.engine import frontier as frontier_blocks
-from repro.engine import shard as frontier_shard
 from repro.engine.database import Database
 from repro.engine.expansion_plan import tuple_getter
 from repro.engine.ops import WorkCounter, memoized_join_rows
@@ -454,7 +453,7 @@ def _execute_join_rule(
         )
         if left_block is not None:
             sorted_keys, payload = guard.join_block(shared, guard_extra)
-            reps, gather, touched = frontier_shard.key_join(
+            reps, gather, touched = frontier_blocks.key_join(
                 sorted_keys, left_block, left.positions(shared)
             )
             counter.add(touched)

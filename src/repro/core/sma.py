@@ -21,7 +21,6 @@ from typing import Mapping
 
 from repro.core.proofs import SMProof, find_good_sm_proof
 from repro.engine import frontier as frontier_blocks
-from repro.engine import shard as frontier_shard
 from repro.engine.database import Database
 from repro.engine.expansion_plan import tuple_getter
 from repro.engine.ops import WorkCounter, memoized_join_rows
@@ -165,7 +164,7 @@ def submodularity_algorithm(
                 sorted_keys, payload = t_y.join_block(
                     y_lookup_attrs, y_extra + z_attrs
                 )
-                reps, gather, touched = frontier_shard.key_join(
+                reps, gather, touched = frontier_blocks.key_join(
                     sorted_keys, left_block, t_x.positions(y_lookup_attrs)
                 )
                 counter.add(touched)
@@ -181,7 +180,7 @@ def submodularity_algorithm(
                 # just the survivors — a heavy split is supposed to drop
                 # most matches, so the full-width join block is never
                 # materialized pre-filter.
-                keep = frontier_shard.block_isin(
+                keep = frontier_blocks.block_isin(
                     payload[:, len(y_extra):][gather],
                     tuple(range(len(z_attrs))),
                     lite_sorted,

@@ -35,9 +35,8 @@ generated row-loop.  Encoded plans additionally run int64
 frontier blocks (:mod:`repro.engine.frontier`) through one block
 executor, ``execute_batch_ndarray``: the plan's generated pipeline from
 :mod:`repro.engine.fused` (dense gathers composed across consecutive
-guard steps, sort/searchsorted key joins, UDFs on masked-in rows only),
-hash-sharded across the thread pool of :mod:`repro.engine.shard` on large
-blocks.  Every path charges identical counts.
+guard steps, sort/searchsorted key joins, UDFs on masked-in rows only).
+Every path charges identical counts.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import numpy as _np
 
 from repro.engine import frontier as _frontier
 from repro.engine import fused as _fused
-from repro.engine import shard as _shard
 from repro.engine.cancellation import checkpoint
 
 GUARD = 0
@@ -356,36 +354,6 @@ class ExpansionPlan:
         self._nd_specs = specs = tuple(built)
         return specs
 
-    def shard_positions(self) -> tuple[int, ...]:
-        """Source-block columns the shard backend hash-partitions on: the
-        first guard step's key columns (so co-keyed rows probe the same
-        guard from one shard), falling back to every source column when
-        no guard keys purely into the source block."""
-        width = len(self.source_schema)
-        for tag, positions, _ in self.steps:
-            if tag != UDF and positions and all(p < width for p in positions):
-                return tuple(positions)
-        return tuple(range(width))
-
-    def execute_batch_ndarray(self, block, counter=None, step_alive=None):
-        """Run the plan over an ``(n, len(source_schema))`` int64 frontier
-        block (encoded plans only); see
-        :meth:`execute_batch_ndarray_local` for the kernel contract.
-
-        This is the shard seam: when the sharded backend is engaged
-        (``REPRO_SHARD``), the block is hash-partitioned and executed
-        across the worker pool with a deterministic merge — the returned
-        ``(out, mask)`` and the counter charge are bit-identical to the
-        local kernel for any worker count.  Every block caller (the
-        chain/CSMA/SMA/generic seams, ``Database.expand_rows_relation`` and
-        the forced-on ``execute_batch`` roundtrip) inherits sharding through this one
-        dispatch.  ``step_alive`` (an optional list) receives the
-        alive-row count of every plan step, shard-merged by exact sums.
-        """
-        if self.steps and _shard.shard_engaged(block.shape[0]):
-            return _shard.run_plan_sharded(self, block, counter, step_alive)
-        return self.execute_batch_ndarray_local(block, counter, step_alive)
-
     def _fused_pipeline(self):
         """The generated fused pipeline for the current configuration
         (compiled once per plan, cached alongside ``_nd_specs``)."""
@@ -395,21 +363,20 @@ class ExpansionPlan:
             fn = self._fused_pipelines[key] = _fused.compile_pipeline(self)
         return fn
 
-    def execute_batch_ndarray_local(self, block, counter=None, step_alive=None):
+    def execute_batch_ndarray(self, block, counter=None, step_alive=None):
         """Run the plan over an ``(n, len(source_schema))`` int64 frontier
-        block (encoded plans only), unsharded.
+        block (encoded plans only).
 
         Returns ``(out, mask)``: ``out`` is the ``(n, len(out_schema))``
         int64 result block, ``mask`` the alive-row flags (``None`` = no
         row dangled).  Dead rows keep garbage in their appended cells and
-        must never be read — though every written cell is *per-row
-        deterministic* (dead rows gather slot-0/clipped images like any
-        other), which is what lets the shard backend scatter-merge
-        per-shard outputs bit-identically.  Dense guard steps gather
-        through their flat table (out-of-range codes — values interned
-        after the plan compiled — are misses); sparse guard steps run
-        sort/searchsorted key joins on sorted key structures; UDF
-        steps decode and evaluate only the masked-in rows.  Counter
+        must never be read, though every written cell is per-row
+        deterministic (dead rows gather slot-0/clipped images like any
+        other).  Dense guard steps gather through their flat table
+        (out-of-range codes — values interned after the plan compiled —
+        are misses); sparse guard steps run sort/searchsorted key joins
+        on sorted key structures; UDF steps decode and evaluate only the
+        masked-in rows.  Counter
         totals are bit-identical to the row-loop backend: each step
         charges exactly the rows alive when it runs.  ``step_alive``
         (optional list) receives each step's alive-row count (0 for
@@ -417,7 +384,10 @@ class ExpansionPlan:
 
         The whole spec list runs as the plan's generated pipeline
         (:func:`repro.engine.fused.compile_pipeline`), with consecutive
-        dense gathers composed into fused tables.
+        dense gathers composed into fused tables.  Every block caller
+        (the chain/CSMA/SMA/generic seams,
+        ``Database.expand_rows_relation`` and the forced-on
+        ``execute_batch`` roundtrip) goes through this one method.
         """
         return self._fused_pipeline()(block, counter, step_alive)
 

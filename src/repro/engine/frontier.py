@@ -18,8 +18,6 @@ frontier seams share:
   lexicographic void-view fallback: rows cast to big-endian int64 and
   reinterpreted as fixed-width byte strings compare exactly like the
   corresponding key tuples, since codes are non-negative);
-* **shard partitioning and merge** — the row partitions and the
-  deterministic scatter-merge :mod:`repro.engine.shard` builds on;
 * **mode knobs** — ``REPRO_BATCH_NDARRAY`` (``auto``/``on``/``off``) and
   ``REPRO_BATCH_NDARRAY_MIN`` select when encoded plans route batches
   through the block backend.  ``auto`` engages above the row threshold;
@@ -79,21 +77,6 @@ def mode_override(mode: str):
         _MODE_OVERRIDE.reset(token)
 
 
-_shard_mod = None
-
-
-def _shard_forces_blocks() -> bool:
-    """``REPRO_SHARD=on`` implies the block backend: shards only exist on
-    blocks, so forcing the sharded path forces blocks everywhere they can
-    run (unless blocks are themselves explicitly ``off``, which wins)."""
-    global _shard_mod
-    if _shard_mod is None:
-        from repro.engine import shard as _shard_mod_imported
-
-        _shard_mod = _shard_mod_imported
-    return _shard_mod.shard_forced_on()
-
-
 def ndarray_engaged(n: int) -> bool:
     """Does the block backend handle an encoded batch of ``n`` rows under
     the current mode?  (Callers have already checked ``plan.encoded``.)"""
@@ -104,23 +87,15 @@ def ndarray_engaged(n: int) -> bool:
         return False
     if mode in _ON:
         return True
-    if _shard_forces_blocks():
-        return True
     return n >= NDARRAY_MIN_ROWS
 
 
 def ndarray_forced_on() -> bool:
-    """Is the backend *forced* on (``REPRO_BATCH_NDARRAY=on``, or forced
-    transitively via ``REPRO_SHARD=on``)?  Callers with extra engagement
-    heuristics (e.g. generic join's determined-run length) bypass them
-    under force, so the differential variants and the CI cross gate
-    exercise the block path everywhere it can run.  Shards only exist
-    on blocks, so forcing them forces blocks (unless blocks are
-    themselves explicitly ``off``, which wins)."""
-    mode = active_mode()
-    if mode in _OFF:
-        return False
-    return mode in _ON or _shard_forces_blocks()
+    """Is the backend *forced* on (``REPRO_BATCH_NDARRAY=on``)?  Callers
+    with extra engagement heuristics (e.g. generic join's determined-run
+    length) bypass them under force, so the differential variants and
+    the CI cross gate exercise the block path everywhere it can run."""
+    return active_mode() in _ON
 
 
 def ndarray_roundtrip_engaged(n: int) -> bool:
@@ -325,130 +300,3 @@ def key_join(struct, block, positions):
     shift = np.cumsum(counts) - counts
     gather = np.repeat(lo - shift, counts) + np.arange(touched)
     return reps, gather, touched
-
-
-# ----------------------------------------------------------------------
-# Shard partitioning and deterministic merge
-# ----------------------------------------------------------------------
-#
-# The sharded backend (engine/shard.py) splits an ``(n, w)`` block into
-# per-shard row subsets, runs each shard through the same per-row
-# kernels, and merges.  Two partition shapes:
-#
-# * ``hash_partition`` — rows grouped by a multiplicative hash of the
-#   join-key columns.  Per-row kernels (``execute_batch_ndarray``) are
-#   row-independent, so any partition is correct; hashing the keys keeps
-#   co-keyed rows on one shard (locality for the guard probes).
-# * ``range_partition`` — contiguous row ranges, for order-sensitive
-#   kernels (``key_join`` emits left-row-major output; contiguous ranges
-#   concatenated in range order reproduce it exactly).
-#
-# Merging scatters per-shard outputs back to the original row indices,
-# so the merged block is *bit-identical* to the unsharded run regardless
-# of shard count or completion order, and sums the per-shard
-# ``tuples_touched`` (exact integer addition — associative, commutative,
-# shard-count-independent; the paper's degree-aware work measure is a
-# per-row sum, hence per-partition-composable).
-
-# Fixed multiplicative-hash constants (splitmix64's, pre-wrapped to
-# signed int64 so numpy never sees an overflowing Python int).
-_HASH_MULT_1 = -7046029254386353131  # 0x9E3779B97F4A7C15 as int64
-_HASH_MULT_2 = -4658895280553007687  # 0xBF58476D1CE4E5B9 as int64
-
-
-def shard_keys(block, positions, n_shards: int):
-    """Per-row shard assignment in ``[0, n_shards)`` from a mixed
-    multiplicative hash of the ``positions`` columns (deterministic:
-    depends only on the row's key cells and ``n_shards``)."""
-    n = block.shape[0]
-    h = np.zeros(n, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        for p in positions:
-            h = h * _HASH_MULT_1 + block[:, p]
-            h ^= h >> 29
-        h = h * _HASH_MULT_2
-        h ^= h >> 32
-    # numpy's % follows the divisor's sign, so this is already in range.
-    return h % n_shards
-
-
-def hash_partition(block, positions, n_shards: int):
-    """Split an ``(n, w)`` block into ``n_shards`` row-index arrays by
-    key hash.  The concatenation of the returned index arrays is a
-    permutation of ``arange(n)``; empty shards come back as empty
-    arrays.  With no key columns every row lands on shard 0."""
-    n = block.shape[0]
-    if n_shards <= 1 or n == 0:
-        return [np.arange(n, dtype=np.int64)] + [
-            np.empty(0, dtype=np.int64) for _ in range(max(0, n_shards - 1))
-        ]
-    if not positions:
-        parts = [np.empty(0, dtype=np.int64) for _ in range(n_shards)]
-        parts[0] = np.arange(n, dtype=np.int64)
-        return parts
-    keys = shard_keys(block, tuple(positions), n_shards)
-    order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(n_shards + 1))
-    return [order[bounds[s]:bounds[s + 1]] for s in range(n_shards)]
-
-
-def range_partition(n: int, n_shards: int):
-    """``n`` rows as ``n_shards`` contiguous ``(lo, hi)`` ranges covering
-    ``[0, n)`` in order (some possibly empty)."""
-    if n_shards <= 1:
-        return [(0, n)]
-    step = -(-n // n_shards)  # ceil division
-    return [(min(s * step, n), min((s + 1) * step, n)) for s in range(n_shards)]
-
-
-def combine_shard_parts(parts):
-    """Fold shard results into one part, in any order or grouping.
-
-    A *part* is ``(indices, out, mask, touched)``: the original row
-    indices a shard covered, its ``(len(indices), width)`` output block,
-    its dangling mask (``None`` = all alive), and its ``tuples_touched``.
-    Because the indices are disjoint and ``touched`` merges by exact
-    integer addition, ``combine`` is associative and commutative: any
-    permutation or grouping of the same parts folds to a part that
-    :func:`scatter_part` finalizes identically.
-    """
-    parts = list(parts)
-    if len(parts) == 1:
-        return parts[0]
-    indices = np.concatenate([p[0] for p in parts])
-    out = np.concatenate([p[1] for p in parts], axis=0)
-    if all(p[2] is None for p in parts):
-        mask = None
-    else:
-        mask = np.concatenate(
-            [
-                np.ones(len(p[0]), dtype=bool) if p[2] is None else p[2]
-                for p in parts
-            ]
-        )
-    touched = sum(p[3] for p in parts)
-    return indices, out, mask, touched
-
-
-def scatter_part(n: int, width: int, part):
-    """Finalize a combined part back into original row order.
-
-    Returns ``(out, mask, touched)`` with rows scattered to their
-    original indices — bit-identical to the unsharded kernel's output,
-    independent of how the shards were ordered or grouped on the way in
-    (the per-row kernels write every cell row-deterministically, dead
-    rows included, so even the never-read garbage cells match).
-    """
-    indices, shard_out, shard_mask, touched = part
-    if len(indices) != n:
-        raise ValueError(
-            f"shard parts cover {len(indices)} rows of {n}: not a partition"
-        )
-    out = np.empty((n, width), dtype=np.int64)
-    out[indices] = shard_out
-    if shard_mask is None:
-        mask = None
-    else:
-        mask = np.empty(n, dtype=bool)
-        mask[indices] = shard_mask
-    return out, mask, touched

@@ -20,17 +20,15 @@ compose, then compile:
   fd-:data:`~repro.engine.expansion_plan.INCONSISTENT` entries dangle
   exactly as in the row-loop: both compose to ``surv`` short of the run
   length.  Dead rows keep gathering the clipped slot-0 chain, so every
-  written cell is per-row deterministic (the shard scatter-merge
-  contract).
+  written cell is per-row deterministic.
 * **Generated pipelines** (:func:`compile_pipeline`): one function per
   plan — mirroring the per-tuple executor codegen in
   :mod:`~repro.engine.expansion_plan` — that runs the whole fused spec
   list with no per-step dispatch, no dead-branch checks (mask-is-None
   and empty-table branches resolve at *codegen* time), and mask
-  short-circuiting baked in.  ``execute_batch_ndarray_local`` is a thin
-  call into the cached pipeline, so the shard backend and every block
-  seam (chain stage-2/3, SMA/CSMA SM-joins, generic BFS, LFTJ) run
-  through it.
+  short-circuiting baked in.  ``execute_batch_ndarray`` is a thin
+  call into the cached pipeline, so every block seam (chain stage-2/3,
+  SMA/CSMA SM-joins, generic BFS, LFTJ) runs through it.
 
 ``REPRO_PROFILE_STEPS=1`` records per-spec-kind wall time and row
 counts during block execution (:func:`profile_snapshot`), surfaced by
@@ -38,7 +36,7 @@ counts during block execution (:func:`profile_snapshot`), surfaced by
 
 The differential suite (``tests/differential.py``) pins the block
 executor against the row-loop backend: bit-identical work profiles
-across all five engines, shard on and off.
+across all five engines.
 """
 
 from __future__ import annotations

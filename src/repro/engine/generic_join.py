@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.engine import frontier as frontier_blocks
-from repro.engine import shard as frontier_shard
 from repro.engine.cancellation import checkpoint
 from repro.engine.database import Database
 from repro.engine.expansion_plan import tuple_getter
@@ -256,7 +255,7 @@ def generic_join(
                         keys = path[6]
                         if keys is None:
                             keys = path[6] = path[0].key_block(path[1])
-                        hit = frontier_shard.block_isin(
+                        hit = frontier_blocks.block_isin(
                             extended, path[5], keys
                         )
                         keep = hit if keep is None else keep & hit
@@ -268,7 +267,7 @@ def generic_join(
                     keys = path[6]
                     if keys is None:
                         keys = path[6] = path[0].key_block(path[1])
-                    hit = frontier_shard.block_isin(extended, path[5], keys)
+                    hit = frontier_blocks.block_isin(extended, path[5], keys)
                     keep = hit if keep is None else keep & hit
                 frontier = extended if keep is None else extended[keep]
                 continue

@@ -12,11 +12,7 @@ of points:
   cooperative checkpoints (:func:`hook` plugs into
   :func:`repro.engine.cancellation.checkpoint_scope`), simulating an
   engine-internal bug, an allocation failure mid-join, and a forced
-  deadline expiry respectively;
-* the **shard** site fires at shard-worker start (:func:`shard_hook`
-  plugs into :func:`repro.engine.shard.worker_hook_scope`), killing an
-  individual shard task mid-query — the degradation chain must join the
-  surviving shards and fall back to an unsharded stage.
+  deadline expiry respectively.
 
 Everything is deterministic given the seed, and ``times=`` budgets give
 tests byte-exact control ("fail the first stage once, then succeed") —
@@ -34,7 +30,9 @@ asserts.
 ``REPRO_FAULTS`` arms sites from the environment (the CI chaos smoke
 does this): a comma-separated ``site:probability`` list, e.g.
 ``worker:0.05,engine:0.1,alloc:0.05,timeout:0.05``, with
-``REPRO_FAULTS_SEED`` fixing the stream.
+``REPRO_FAULTS_SEED`` fixing the stream.  A malformed spec (unknown
+site, unparseable or out-of-range probability) is a
+:class:`~repro.config.ConfigError`.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import threading
 from repro import config
 from repro.errors import QueryTimeout
 
-SITES = ("worker", "engine", "alloc", "timeout", "shard")
+SITES = ("worker", "engine", "alloc", "timeout")
 
 
 class PoisonedValue:
@@ -122,8 +120,18 @@ class FaultInjector:
     def arm(
         self, site: str, probability: float = 1.0, times: int | None = None
     ) -> "FaultInjector":
+        if site == "shard":
+            raise ValueError(
+                "fault site 'shard' was removed with the thread shard backend"
+            )
         if site not in SITES:
             raise ValueError(f"unknown fault site {site!r} (sites: {SITES})")
+        probability = float(probability)
+        if not 0.0 <= probability <= 1.0:  # also rejects NaN
+            raise ValueError(
+                f"fault probability for site {site!r} must be in [0, 1], "
+                f"got {probability!r}"
+            )
         with self._lock:
             self._arms[site] = _Arm(probability, times)
         return self
@@ -154,7 +162,12 @@ class FaultInjector:
             if not part:
                 continue
             site, _, prob = part.partition(":")
-            injector.arm(site.strip(), float(prob) if prob else 1.0)
+            try:
+                injector.arm(site.strip(), float(prob) if prob else 1.0)
+            except ValueError as exc:
+                raise config.ConfigError(
+                    f"REPRO_FAULTS: bad entry {part!r}: {exc}"
+                ) from None
         return injector
 
     # -- firing --------------------------------------------------------
@@ -188,8 +201,6 @@ class FaultInjector:
             raise QueryTimeout(
                 "injected fault: forced deadline expiry", deadline_s=0.0
             )
-        if site == "shard":
-            raise RuntimeError("injected fault: shard worker killed mid-query")
         raise AssertionError(f"unreachable site {site!r}")
 
     def hook(self):
@@ -200,11 +211,3 @@ class FaultInjector:
             self.fire("alloc")
             self.fire("engine")
         return _checkpoint_hook
-
-    def shard_hook(self):
-        """A shard-worker-start hook firing the ``shard`` site — install
-        with :func:`repro.engine.shard.worker_hook_scope` (thread-safe:
-        shard tasks fire it concurrently)."""
-        def _shard_worker_hook() -> None:
-            self.fire("shard")
-        return _shard_worker_hook

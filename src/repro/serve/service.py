@@ -21,9 +21,8 @@ pool, with the robustness pieces the kernel alone doesn't provide:
   (:mod:`repro.engine.cancellation`) — a timed-out query unwinds and
   releases its worker.
 * **Graceful degradation**: on a classified engine fault the query
-  retries down a fallback chain — sharded encoded plane (when the shard
-  backend is configured) → single-worker encoded plane → encoded plane
-  with the ndarray block backend off → the decoded reference plane
+  retries down a fallback chain — encoded plane → encoded plane with
+  the ndarray block backend off → the decoded reference plane
   (codec-free, immune to poisoned dictionary entries).  Every
   stage computes the same bit-identical answer (the kernel's
   differential contract), so a degraded response is *correct*, just
@@ -53,7 +52,6 @@ from dataclasses import dataclass, field
 
 from repro.core.planner import Planner
 from repro.engine import frontier
-from repro.engine import shard as frontier_shard
 from repro.engine.cancellation import Deadline, checkpoint_scope
 from repro.engine.database import Database
 from repro.engine.dictionary import Codec
@@ -77,41 +75,18 @@ from repro.serve.faults import FaultInjector
 #: to cover every code path).
 ENGINES = ("auto", "generic", "lftj", "binary", "csma")
 
-#: The fixed tail of the degradation chain: stage label →
-#: (ndarray-mode, shard-mode) overrides (``None`` = leave the configured
-#: knob alone).  The head depends on the shard configuration — see
-#: :func:`degradation_stages`.
-_ENCODED_STAGES = (
-    ("encoded-ndarray", None, "off"),
-    ("encoded-rows", "off", "off"),
+#: The degradation chain, fastest stage first, as ``(label,
+#: ndarray_mode)`` pairs: ``ndarray_mode`` overrides
+#: ``REPRO_BATCH_NDARRAY`` for the stage (``None`` leaves the configured
+#: knob alone).  The encoded block backend falls back to the encoded row
+#: loop (no blocks), then to the decoded reference plane.  Every stage
+#: computes bit-identical canonical rows (the kernel's differential
+#: contract).
+DEGRADATION_STAGES = (
+    ("encoded-ndarray", None),
+    ("encoded-rows", "off"),
+    ("decoded-reference", "off"),
 )
-
-
-def degradation_stages() -> tuple[tuple[str, str | None, str | None], ...]:
-    """The degradation chain for the current shard configuration, as
-    ``(label, ndarray_mode, shard_mode)`` 3-tuples.
-
-    When the sharded backend can engage (``REPRO_SHARD`` not off and
-    more than one worker configured), the full-speed first stage is
-    ``encoded-sharded`` and its first fallback is the single-worker
-    block backend (``encoded-ndarray`` with sharding forced off) — a
-    shard-worker fault degrades to fewer moving parts, not straight to
-    the row loop.  Without shards the chain starts at
-    ``encoded-ndarray``.  Next come the encoded row loop
-    (``encoded-rows``, no blocks) and the decoded reference plane.
-    Every stage computes bit-identical canonical rows (the kernel's
-    differential contract).
-    """
-    stages: list[tuple[str, str | None, str | None]] = []
-    if frontier_shard.shard_available():
-        stages.append(("encoded-sharded", None, None))
-    else:
-        stages.append(("encoded-ndarray", None, None))
-    for label, nd_mode, shard_mode in _ENCODED_STAGES:
-        if label != stages[0][0]:
-            stages.append((label, nd_mode, shard_mode))
-    stages.append(("decoded-reference", "off", "off"))
-    return tuple(stages)
 
 
 @dataclass
@@ -310,7 +285,7 @@ class QueryService:
         try:
             # Run the worker inside a contextvars snapshot of the
             # submitting context, so ambient overrides (LP policy, batch
-            # modes) propagate into the pool exactly as shard tasks do.
+            # modes) propagate into the pool.
             ctx = copy_context()
             return self._pool.submit(
                 ctx.run,
@@ -358,12 +333,7 @@ class QueryService:
                     hooks.append(Deadline(deadline_s).check)
                 if self._faults.armed:
                     hooks.append(self._faults.hook())
-                shard_scope = (
-                    frontier_shard.worker_hook_scope(self._faults.shard_hook())
-                    if self._faults.armed
-                    else nullcontext()
-                )
-                with checkpoint_scope(*hooks), shard_scope:
+                with checkpoint_scope(*hooks):
                     result = self._run_chain(
                         tenant, db_name, db, query, engine, decision
                     )
@@ -404,8 +374,7 @@ class QueryService:
         next (simpler) stage retries.  All stages produce bit-identical
         canonical rows — the kernel's differential contract."""
         absorbed: list[dict] = []
-        stages = degradation_stages()
-        for index, (label, mode, shard_mode) in enumerate(stages):
+        for index, (label, mode) in enumerate(DEGRADATION_STAGES):
             stage_db = (
                 self._decoded_twin(tenant, db_name, db)
                 if label == "decoded-reference"
@@ -415,12 +384,7 @@ class QueryService:
                 override = (
                     frontier.mode_override(mode) if mode else nullcontext()
                 )
-                shard_override = (
-                    frontier_shard.mode_override(shard_mode)
-                    if shard_mode
-                    else nullcontext()
-                )
-                with override, shard_override:
+                with override:
                     relation, algorithm, touched = _run_engine(
                         engine, query, stage_db
                     )

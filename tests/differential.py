@@ -94,23 +94,6 @@ def ndarray_forced(mode: str):
         frontier.NDARRAY_MODE = saved
 
 
-@contextmanager
-def shard_forced(mode: str, workers: int | None = None):
-    """Temporarily force the sharded frontier backend ``on``/``off``/
-    ``auto`` (and optionally the worker count).  Forcing ``on`` also
-    forces the block backend: shards only exist on blocks."""
-    from repro.engine import shard
-
-    saved = (shard.SHARD_MODE, shard.SHARD_WORKERS)
-    shard.SHARD_MODE = mode
-    if workers is not None:
-        shard.SHARD_WORKERS = workers
-    try:
-        yield
-    finally:
-        shard.SHARD_MODE, shard.SHARD_WORKERS = saved
-
-
 # ----------------------------------------------------------------------
 # Randomized instance generators
 # ----------------------------------------------------------------------
@@ -418,26 +401,6 @@ _run_generic_ndarray = _ndarray_variant(_run_generic)
 _run_lftj_ndarray = _ndarray_variant(_run_lftj)
 
 
-def _sharded_variant(runner: Callable) -> Callable:
-    """The same engine with the sharded frontier backend forced on for
-    every block (which transitively forces the block backend), two
-    workers — every block an engine executes is hash-partitioned, run on
-    the pool, and deterministically merged."""
-
-    def run(query, db, schema):
-        with shard_forced("on", workers=2):
-            return runner(query, db, schema)
-
-    return run
-
-
-_run_chain_sharded = _sharded_variant(_run_chain)
-_run_sma_sharded = _sharded_variant(_run_sma)
-_run_csma_sharded = _sharded_variant(_run_csma)
-_run_generic_sharded = _sharded_variant(_run_generic)
-_run_lftj_sharded = _sharded_variant(_run_lftj)
-
-
 #: name → runner(query, db, schema) -> set | None (None = not applicable).
 ENGINES: dict[str, Callable] = {
     "binary": _run_binary,
@@ -458,11 +421,6 @@ ENGINES: dict[str, Callable] = {
     "csma-ndarray-frontier": _run_csma_ndarray,
     "generic-ndarray-frontier": _run_generic_ndarray,
     "lftj-ndarray-frontier": _run_lftj_ndarray,
-    "chain-sharded-frontier": _run_chain_sharded,
-    "sma-sharded-frontier": _run_sma_sharded,
-    "csma-sharded-frontier": _run_csma_sharded,
-    "generic-sharded-frontier": _run_generic_sharded,
-    "lftj-sharded-frontier": _run_lftj_sharded,
 }
 
 #: Engines that must be applicable (and agree) on every instance the
@@ -480,18 +438,11 @@ ENGINES: dict[str, Callable] = {
 #: ``sma`` variants run whenever their base engines do), and
 #: :func:`assert_ndarray_backend_equivalence` additionally pins their
 #: ``tuples_touched`` bit-identical to the row-loop backend.
-#: The ``*-sharded-frontier`` variants force the sharded backend onto
-#: every block (two workers): parallel execution with the deterministic
-#: merge must be invisible — same mandatory-coverage rule as the ndarray
-#: variants, and :func:`assert_shard_sweep_equivalence` additionally
-#: sweeps worker counts pinning ``tuples_touched``/digests bit-identical.
 MANDATORY_ENGINES = ("binary", "csma", "generic", "lftj",
                      "lftj-reference-expansion", "csma-exact-lp",
                      "generic-decoded-plane", "csma-decoded-plane",
                      "lftj-decoded-plane", "csma-ndarray-frontier",
-                     "generic-ndarray-frontier", "lftj-ndarray-frontier",
-                     "csma-sharded-frontier", "generic-sharded-frontier",
-                     "lftj-sharded-frontier")
+                     "generic-ndarray-frontier", "lftj-ndarray-frontier")
 
 
 def run_all_engines(query, db) -> dict[str, set]:
@@ -696,68 +647,6 @@ def assert_ndarray_backend_equivalence(query, db) -> None:
         f"ndarray-vs-row-loop work drift: {on_profile} != {off_profile}"
     )
     assert on_result == off_result
-
-
-def result_digest(rows) -> str:
-    """An order-independent digest of a result set: sha256 over the
-    sorted row reprs.  Stable across runs on the *same* codec state;
-    encoded-vs-decoded planes compare by set equality instead (a
-    ``==``-ambiguous representative like ``1`` vs ``1.0`` reprs
-    differently while comparing equal)."""
-    import hashlib
-
-    payload = "\n".join(sorted(repr(row) for row in rows))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def assert_shard_sweep_equivalence(query, db, workers=(1, 2, 7)) -> None:
-    """The sharded backend ≡ the single-worker backend, bit-identically,
-    for every worker count.
-
-    Runs every engine's work profile with sharding forced off (blocks
-    on) as the baseline, then sweeps ``workers`` with sharding forced on
-    every block, asserting identical ``tuples_touched`` everywhere and
-    identical result digests — the deterministic-merge contract: shard
-    count must be *invisible* in both the counted work and the bytes of
-    the answer.  The decoded reference plane is pinned too (bit-identical
-    work, set-equal results; digests are compared within the encoded
-    plane only, since a ``==``-ambiguous representative reprs differently
-    across planes).
-
-    The shard-off baseline runs first on purpose: it interns any mid-run
-    UDF values, so the sweep's parallel runs probe a stable codec and the
-    repr digests are well-defined.
-    """
-    encoded_db = db if db.encoded else Database(
-        list(db.relations.values()),
-        fds=db.fds,
-        udfs=list(db.udfs),
-        degree_bounds=db.degree_bounds,
-        encode=True,
-    )
-    schema = tuple(sorted(query.variables))
-    with shard_forced("off"), ndarray_forced("on"):
-        off_profile = engine_work_profile(query, encoded_db)
-        off_rows = _run_csma(query, encoded_db, schema)
-    off_digest = result_digest(off_rows)
-    for count in workers:
-        with shard_forced("on", workers=count):
-            profile = engine_work_profile(query, encoded_db)
-            rows = _run_csma(query, encoded_db, schema)
-        assert profile == off_profile, (
-            f"shard(workers={count}) work drift: {profile} != {off_profile}"
-        )
-        assert result_digest(rows) == off_digest, (
-            f"shard(workers={count}) result digest drift"
-        )
-    decoded_db = decoded_plane_db(db)
-    with shard_forced("off"), ndarray_forced("off"):
-        dec_profile = engine_work_profile(query, decoded_db)
-        dec_rows = _run_csma(query, decoded_db, schema)
-    assert dec_profile == off_profile, (
-        f"sharded-vs-decoded work drift: {off_profile} != {dec_profile}"
-    )
-    assert dec_rows == off_rows
 
 
 def assert_lp_backend_equivalence(query, db) -> None:

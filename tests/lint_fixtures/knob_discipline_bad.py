@@ -4,11 +4,11 @@ import os
 
 
 def raw_read():
-    return os.environ.get("REPRO_SHARD_MIN", "")
+    return os.environ.get("REPRO_BATCH_NDARRAY_MIN", "")
 
 
 def raw_getenv():
-    return os.getenv("REPRO_SHARD")
+    return os.getenv("REPRO_BATCH_NDARRAY")
 
 
 def raw_subscript():

@@ -6,11 +6,11 @@ from repro import config
 
 
 def registry_read():
-    return config.get("REPRO_SHARD")
+    return config.get("REPRO_BATCH_NDARRAY")
 
 
 def registry_probe():
-    return config.is_set("REPRO_SHARD")
+    return config.is_set("REPRO_BATCH_NDARRAY")
 
 
 def env_write(value):

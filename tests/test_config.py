@@ -6,8 +6,6 @@ them."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,7 +90,7 @@ def test_str_knobs_return_the_stripped_raw_string(name, value):
 
 @pytest.mark.parametrize("name", KNOB_NAMES)
 def test_empty_and_whitespace_mean_unset(name):
-    default = KNOBS[name].default_value()
+    default = KNOBS[name].default
     assert config.get(name, {}) == default
     assert config.get(name, {name: ""}) == default
     assert config.get(name, {name: "   "}) == default
@@ -156,9 +154,9 @@ def test_retired_knob_set_in_the_environment_raises():
     # path survived it: every read fails, naming the stale knob.
     for name in RETIRED:
         with pytest.raises(ConfigError, match=name):
-            config.get("REPRO_SHARD", {name: "off"})
+            config.get("REPRO_BATCH_NDARRAY", {name: "off"})
         # Empty still means unset, as for live knobs.
-        assert config.get("REPRO_SHARD", {name: "  "}) == "auto"
+        assert config.get("REPRO_BATCH_NDARRAY", {name: "  "}) == "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +170,6 @@ EXPECTED_DEFAULTS = {
     "REPRO_CHECK_DISTINCT": False,
     "REPRO_BATCH_NDARRAY": "auto",
     "REPRO_BATCH_NDARRAY_MIN": 4096,
-    "REPRO_SHARD": "auto",
-    "REPRO_SHARD_MIN": 65536,
     "REPRO_PROFILE_STEPS": False,
     "REPRO_LP_BACKEND": "auto",
     "REPRO_FAULTS": "",
@@ -184,10 +180,8 @@ EXPECTED_DEFAULTS = {
 def test_defaults_match_the_old_scattered_readers():
     for name, expected in EXPECTED_DEFAULTS.items():
         assert config.get(name, {}) == expected, name
-    # The one computed default: the old shard.py read cpu_count() or 1.
-    assert config.get("REPRO_SHARD_WORKERS", {}) == (os.cpu_count() or 1)
     # And the registry declares nothing beyond these.
-    assert set(EXPECTED_DEFAULTS) | {"REPRO_SHARD_WORKERS"} == set(KNOB_NAMES)
+    assert set(EXPECTED_DEFAULTS) == set(KNOB_NAMES)
 
 
 def test_plan_cache_max_rejects_negative_caps(monkeypatch):
@@ -211,5 +205,6 @@ def test_plan_cache_max_rejects_negative_caps(monkeypatch):
 
 
 def test_get_default_override_distinguishes_set_from_unset():
-    assert config.get("REPRO_SHARD_WORKERS", {}, default=0) == 0
-    assert config.get("REPRO_SHARD_WORKERS", {"REPRO_SHARD_WORKERS": "3"}, default=0) == 3
+    name = "REPRO_BATCH_NDARRAY_MIN"
+    assert config.get(name, {}, default=0) == 0
+    assert config.get(name, {name: "3"}, default=0) == 3

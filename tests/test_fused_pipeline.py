@@ -72,7 +72,7 @@ def _run_against_row_loop(plan, block):
     sum to the total."""
     counter = WorkCounter()
     step_alive: list[int] = []
-    out, mask = plan.execute_batch_ndarray_local(
+    out, mask = plan.execute_batch_ndarray(
         block.copy(), counter, step_alive
     )
     row_counter = WorkCounter()
@@ -174,10 +174,10 @@ def test_pipeline_block_bit_identity(seed):
     block = rng.integers(0, 24, size=(64, 1), dtype=np.int64)
     _run_against_row_loop(plan, block)
     # Every written cell, dead rows included, is per-row deterministic
-    # (the shard scatter-merge contract): split runs rebuild the block.
-    whole, _ = plan.execute_batch_ndarray_local(block)
+    # (row-independent execution): split runs rebuild the block.
+    whole, _ = plan.execute_batch_ndarray(block)
     halves = [
-        plan.execute_batch_ndarray_local(part)[0]
+        plan.execute_batch_ndarray(part)[0]
         for part in (block[:29], block[29:])
     ]
     assert np.array_equal(whole, np.concatenate(halves))
@@ -253,7 +253,7 @@ def test_profile_snapshot_accumulates_and_resets():
         fused.PROFILE_STEPS = True
         fused.profile_snapshot()  # clear anything previous tests left
         block = np.arange(8, dtype=np.int64).reshape(8, 1)
-        plan.execute_batch_ndarray_local(block, WorkCounter())
+        plan.execute_batch_ndarray(block, WorkCounter())
         snap = fused.profile_snapshot()
         assert "fused" in snap
         assert snap["fused"]["calls"] == 1

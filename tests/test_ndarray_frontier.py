@@ -123,34 +123,21 @@ def test_key_join_matches_index_join(width):
 
 
 def test_engaged_respects_mode_and_threshold():
-    from repro.engine import shard
-
     saved_mode, saved_min = frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS
-    saved_shard = shard.SHARD_MODE
     try:
-        # Pin sharding to a non-forcing mode: REPRO_SHARD=on deliberately
-        # forces the block backend on (shards only exist on blocks),
-        # which would defeat the auto-threshold assertions below.
-        shard.SHARD_MODE = "off"
         frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS = "auto", 100
         assert not frontier.ndarray_engaged(99)
         assert frontier.ndarray_engaged(100)
-        frontier.NDARRAY_MODE = "off"
-        assert not frontier.ndarray_engaged(10 ** 6)
-        frontier.NDARRAY_MODE = "on"
-        assert frontier.ndarray_engaged(1)
-        assert not frontier.ndarray_engaged(0)
-        # The shard coupling itself: forcing shards forces blocks, except
-        # when blocks are explicitly off (which wins).
-        frontier.NDARRAY_MODE, shard.SHARD_MODE = "auto", "on"
-        assert frontier.ndarray_engaged(1)
-        assert frontier.ndarray_forced_on()
+        assert not frontier.ndarray_forced_on()
         frontier.NDARRAY_MODE = "off"
         assert not frontier.ndarray_engaged(10 ** 6)
         assert not frontier.ndarray_forced_on()
+        frontier.NDARRAY_MODE = "on"
+        assert frontier.ndarray_engaged(1)
+        assert not frontier.ndarray_engaged(0)
+        assert frontier.ndarray_forced_on()
     finally:
         frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS = saved_mode, saved_min
-        shard.SHARD_MODE = saved_shard
 
 
 # ----------------------------------------------------------------------

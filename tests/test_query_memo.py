@@ -20,7 +20,6 @@ from repro.core.planner import Planner
 from repro.datagen.worstcase import fig4_instance
 import repro.engine.database as database_mod
 from repro.engine import frontier, leapfrog
-from repro.engine import shard as frontier_shard
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.fds.fd import FD, FDSet
@@ -32,10 +31,10 @@ from repro.query.query import Atom, Query
 from repro.serve.admission import certified_bound
 from repro.serve.faults import FaultInjector
 from repro.serve.service import (
+    DEGRADATION_STAGES,
     QueryService,
     _run_engine,
     canonical_rows,
-    degradation_stages,
 )
 from repro.serve.workloads import (
     build_demo_service,
@@ -249,13 +248,6 @@ def test_query_fd_added_after_a_read_is_not_served_stale():
     assert after.n < before.n
 
 
-def _stage_scope(mode, shard_mode):
-    return (
-        frontier.mode_override(mode) if mode else nullcontext(),
-        frontier_shard.mode_override(shard_mode) if shard_mode else nullcontext(),
-    )
-
-
 def _databases(shape: str, encode: bool) -> Database:
     if shape == "udf_expand":
         return Database(
@@ -269,12 +261,12 @@ def _databases(shape: str, encode: bool) -> Database:
 @pytest.mark.parametrize("engine,shape", READS)
 def test_cold_and_warm_reads_agree_on_every_stage(engine, shape):
     query = QUERIES[shape]
-    for label, mode, shard_mode in degradation_stages():
+    for label, mode in DEGRADATION_STAGES:
         db = _databases(shape, encode=label != "decoded-reference")
         runs = []
         for _ in range(2):  # cold memo, then warm
-            override, shard_override = _stage_scope(mode, shard_mode)
-            with override, shard_override:
+            override = frontier.mode_override(mode) if mode else nullcontext()
+            with override:
                 relation, algorithm, touched = _run_engine(engine, query, db)
             runs.append((canonical_rows(relation, query), algorithm, touched))
         assert runs[0] == runs[1], (label, engine, shape)

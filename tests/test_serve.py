@@ -8,12 +8,13 @@ state machine — *which* stage answers, *which* typed error escapes,
 *that* the worker is released.
 """
 
+import re
 import threading
-from contextlib import contextmanager
 from contextvars import copy_context
 
 import pytest
 
+from repro.config import ConfigError
 from repro.engine.cancellation import Deadline, checkpoint_scope
 from repro.engine.database import Database
 from repro.engine.dictionary import Codec
@@ -33,8 +34,7 @@ from repro.fds.udf import UDF
 from repro.query.query import Atom, Query
 from repro.serve.admission import admit, certified_bound
 from repro.serve.faults import FaultInjector, poison_codec
-from repro.engine import shard as frontier_shard
-from repro.serve.service import QueryService, canonical_rows, degradation_stages
+from repro.serve.service import DEGRADATION_STAGES, QueryService, canonical_rows
 from repro.serve.workloads import (
     build_demo_service,
     demo_queries,
@@ -149,7 +149,7 @@ def test_service_timeout_releases_worker():
         # The worker slot came back: a clean query on the same (single)
         # worker succeeds.
         result = service.execute("tenant0", "main", TRIANGLE)
-        assert result.backend == degradation_stages()[0][0]
+        assert result.backend == DEGRADATION_STAGES[0][0]
         assert not result.degraded
         assert service.metrics()["timeouts"] == 1
 
@@ -191,14 +191,9 @@ def expected_rows(query=TRIANGLE, n=48):
     return canonical_rows(rel, query)[1]
 
 
-@pytest.mark.parametrize("times", [1, 2, 3])
+@pytest.mark.parametrize("times", range(1, len(DEGRADATION_STAGES)))
 def test_degradation_stages_answer_bit_identically(times):
-    # Expectations follow the configured chain (an ``encoded-sharded``
-    # head appears when REPRO_SHARD engages), not hard-coded labels.
-    stages = degradation_stages()
-    if times >= len(stages):
-        pytest.skip(f"chain has {len(stages)} stages")
-    backend = stages[times][0]
+    backend = DEGRADATION_STAGES[times][0]
     faults = FaultInjector(seed=1).arm("engine", times=times)
     service = build_demo_service(tenants=1, faults=faults)
     with service:
@@ -214,7 +209,7 @@ def test_degradation_stages_answer_bit_identically(times):
 
 
 def test_degradation_exhaustion_is_a_typed_fault():
-    stages = degradation_stages()
+    stages = DEGRADATION_STAGES
     faults = FaultInjector(seed=1).arm("engine", times=len(stages))
     service = build_demo_service(tenants=1, faults=faults)
     with service:
@@ -224,7 +219,7 @@ def test_degradation_exhaustion_is_a_typed_fault():
     assert err.stage == "exhausted"
     assert len(err.extra["absorbed"]) == len(stages)
     assert [c["backend"] for c in err.extra["absorbed"]] == [
-        label for label, _, _ in stages
+        label for label, _ in stages
     ]
 
 
@@ -233,7 +228,7 @@ def test_allocation_fault_classified_and_absorbed():
     service = build_demo_service(tenants=1, faults=faults)
     with service:
         result = service.execute("tenant0", "main", TRIANGLE, engine="generic")
-    assert result.backend == degradation_stages()[1][0]
+    assert result.backend == DEGRADATION_STAGES[1][0]
     assert result.faults_absorbed[0]["kind"] == "allocation"
     assert result.rows == expected_rows()
 
@@ -411,52 +406,32 @@ def test_compaction_drops_cold_entries_and_preserves_results():
 
 
 # ----------------------------------------------------------------------
-# Sharded execution stage
+# REPRO_FAULTS parsing
 # ----------------------------------------------------------------------
-@contextmanager
-def sharding_forced(workers=2):
-    """Force the shard backend via the module-global knobs (service
-    worker threads don't inherit the test thread's context, so the
-    ContextVar override cannot reach them)."""
-    saved = (frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS)
-    frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS = "on", workers
-    try:
-        yield
-    finally:
-        frontier_shard.SHARD_MODE, frontier_shard.SHARD_WORKERS = saved
+BAD_FAULT_SPECS = [
+    ("engine:abc", "could not convert"),
+    ("bogus:0.1", "unknown fault site 'bogus'"),
+    (":0.1", "unknown fault site ''"),
+    ("shard:0.05", "removed with the thread shard backend"),
+    ("engine:1.5", r"must be in \[0, 1\]"),
+    ("engine:-0.2", r"must be in \[0, 1\]"),
+    ("engine:nan", r"must be in \[0, 1\]"),
+]
 
 
-def test_sharded_stage_heads_the_chain_and_answers_bit_identically():
-    with sharding_forced(workers=2):
-        stages = degradation_stages()
-        assert [label for label, _, _ in stages] == [
-            "encoded-sharded", "encoded-ndarray", "encoded-rows",
-            "decoded-reference",
-        ]
-        service = build_demo_service(tenants=1, faults=quiet())
-        with service:
-            result = service.execute(
-                "tenant0", "main", TRIANGLE, engine="generic"
-            )
-        assert result.backend == "encoded-sharded"
-        assert not result.degraded
-        assert result.rows == expected_rows()
-    # Without shards the chain head is the single-worker block backend.
-    assert degradation_stages()[0][0] != "encoded-sharded" or (
-        frontier_shard.shard_available()
-    )
+@pytest.mark.parametrize(
+    "spec,reason", BAD_FAULT_SPECS, ids=[spec for spec, _ in BAD_FAULT_SPECS]
+)
+def test_bad_fault_specs_raise_config_error(spec, reason):
+    with pytest.raises(ConfigError) as excinfo:
+        FaultInjector.from_env({"REPRO_FAULTS": f"worker:0.1,{spec}"})
+    message = str(excinfo.value)
+    assert "REPRO_FAULTS" in message
+    assert repr(spec) in message
+    assert re.search(reason, message), message
 
 
-def test_shard_worker_fault_degrades_to_single_worker_stage():
-    with sharding_forced(workers=2):
-        faults = FaultInjector(seed=1).arm("shard", times=1)
-        service = build_demo_service(tenants=1, faults=faults)
-        with service:
-            result = service.execute(
-                "tenant0", "main", TRIANGLE, engine="generic"
-            )
-        assert result.backend == "encoded-ndarray"
-        assert result.degraded
-        assert result.rows == expected_rows()
-        assert faults.fired["shard"] == 1
-        assert frontier_shard.active_tasks() == 0
+def test_fault_probabilities_zero_and_one_are_in_range():
+    spec = {"REPRO_FAULTS": "engine:0, alloc:1,timeout"}
+    assert FaultInjector.from_env(spec).armed
+

@@ -19,14 +19,10 @@ own injector when the env knob is absent, so it never silently runs
 fault-free.
 """
 
-import threading
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
 from repro import config
-from repro.engine import frontier, shard
 from repro.engine.cancellation import Deadline, checkpoint_scope
 from repro.engine.expansion_plan import GUARD, ExpansionPlan
 from repro.engine.ops import WorkCounter
@@ -53,7 +49,6 @@ def chaos_injector() -> FaultInjector:
     injector.arm("engine", probability=0.05)
     injector.arm("alloc", probability=0.03)
     injector.arm("timeout", probability=0.03)
-    injector.arm("shard", probability=0.05)
     return injector
 
 
@@ -204,68 +199,13 @@ def test_chaos_soak_compactions_bound_dictionary_growth():
 
 
 # ----------------------------------------------------------------------
-# Sharded execution under chaos
+# Deadlines inside the block executor
 # ----------------------------------------------------------------------
 
-@contextmanager
-def sharding_forced(workers=3):
-    """Force the shard backend via the module-global knobs (service
-    worker threads don't see the test thread's ContextVar overrides)."""
-    saved = (shard.SHARD_MODE, shard.SHARD_WORKERS)
-    shard.SHARD_MODE, shard.SHARD_WORKERS = "on", workers
-    try:
-        yield
-    finally:
-        shard.SHARD_MODE, shard.SHARD_WORKERS = saved
-
-
-def test_shard_worker_kill_mid_query_bit_identical_or_typed():
-    """The fault injector kills individual shard workers mid-query: every
-    query still ends bit-identical-or-typed, no shard task leaks, and the
-    service answers cleanly once the storm passes."""
-    requests = demo_requests(tenants=1, rounds=8, seed=13)
-    digests = reference_digests(requests[:1] and requests)
-    with sharding_forced(workers=3):
-        injector = FaultInjector(seed=3)
-        injector.arm("shard", probability=0.5)
-        outcomes = {"ok": 0, "degraded": 0, "typed": 0}
-        with build_demo_service(
-            tenants=1, max_workers=2, queue_depth=8, faults=injector
-        ) as service:
-            for request in requests:
-                try:
-                    result = service.execute(**request)
-                except ReproError as err:
-                    assert err.context()["tenant"] == request["tenant"]
-                    outcomes["typed"] += 1
-                    continue
-                assert result.rows == digests[request_key(request)], (
-                    f"wrong answer after shard kill via {result.backend}"
-                )
-                outcomes["ok"] += 1
-                if result.degraded:
-                    outcomes["degraded"] += 1
-            # The storm actually killed shard workers, queries survived,
-            # and every shard task was joined (no leaks).
-            assert injector.fired["shard"] > 0
-            assert outcomes["ok"] > 0
-            assert outcomes["degraded"] > 0, (
-                "a killed shard must degrade at least one query to an "
-                "unsharded stage"
-            )
-            assert shard.active_tasks() == 0
-            # Serviceable after the storm, sharded stage restored.
-            injector.disarm()
-            result = service.execute(**requests[0])
-            assert result.rows == digests[request_key(requests[0])]
-            assert not result.degraded
-
-
-def test_deadline_checkpoints_reach_every_shard():
-    """A pre-expired deadline installed as a checkpoint hook must be
-    observed by *every* shard task (the submit-time context snapshot
-    carries the hook into the pool), the dispatcher must join all shards
-    before surfacing the ``QueryTimeout``, and nothing may leak."""
+def test_expired_deadline_stops_the_block_executor():
+    """A pre-expired deadline installed as a checkpoint hook stops
+    ``execute_batch_ndarray`` with a ``QueryTimeout`` (the fused pipeline
+    checks in per block), and the same call then runs without the hook."""
     plan = ExpansionPlan(
         ("a", "b"),
         ("a", "b", "x"),
@@ -274,39 +214,14 @@ def test_deadline_checkpoints_reach_every_shard():
     )
     rng = np.random.default_rng(17)
     block = rng.integers(0, 64, size=(4096, 2)).astype(np.int64)
-    # Warm the plan's lazy ndarray specs outside the hook's scope: their
-    # compilation checkpoints in the *submitting* thread, and this test
-    # is about the checkpoints inside the shard tasks.
-    plan.execute_batch_ndarray_local(block[:4], WorkCounter())
-    with sharding_forced(workers=4):
-        expected_shards = sum(
-            1
-            for idx in frontier.hash_partition(
-                block, plan.shard_positions(), 4
-            )
-            if len(idx)
-        )
-        assert expected_shards > 1, "partition must actually fan out"
-        deadline = Deadline(0.0)
-        observed = []
-        lock = threading.Lock()
-
-        def expired_deadline_checkpoint():
-            with lock:
-                observed.append(threading.current_thread().name)
-            deadline.check()  # raises QueryTimeout: the budget is spent
-
-        with checkpoint_scope(expired_deadline_checkpoint):
-            with pytest.raises(QueryTimeout):
-                plan.execute_batch_ndarray(block, WorkCounter())
-        # Every shard task hit the hook (each checks in at task start
-        # from inside the pool), and all were joined before the raise.
-        shard_observations = [
-            name for name in observed if name.startswith("repro-shard")
-        ]
-        assert len(shard_observations) >= expected_shards
-        assert shard.active_tasks() == 0
-    # The kernel stays healthy afterwards: same call, no deadline, runs.
-    with sharding_forced(workers=4):
-        out, mask = plan.execute_batch_ndarray(block, WorkCounter())
+    # Warm the plan's lazy ndarray specs outside the hook's scope: this
+    # test is about the checkpoint inside the pipeline, not compilation.
+    plan.execute_batch_ndarray(block[:4], WorkCounter())
+    with checkpoint_scope(Deadline(0.0).check):
+        with pytest.raises(QueryTimeout):
+            plan.execute_batch_ndarray(block, WorkCounter())
+    counter = WorkCounter()
+    out, mask = plan.execute_batch_ndarray(block, counter)
     assert out.shape == (4096, 3)
+    assert mask is None or mask.all()
+    assert counter.tuples_touched == 4096
