@@ -52,7 +52,7 @@ def main() -> None:
 
     # 4. Let the planner choose and run.
     planner = Planner(query, db)
-    out, choice = planner.run()
+    out, choice, _ = planner.run()
     print(f"\nplanner chose: {choice.algorithm}  ({choice.reason})")
     print(f"|Q| = {len(out)}")
 

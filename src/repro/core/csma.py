@@ -449,7 +449,7 @@ def _execute_join_rule(
     ):
         np = frontier_blocks.np
         left_block = frontier_blocks.columns_to_block(
-            left.columns(), len(left.tuples)
+            left.column_store(), len(left)
         )
         if left_block is not None:
             sorted_keys, payload = guard.join_block(shared, guard_extra)

@@ -124,25 +124,26 @@ class Planner:
             reason="no tight chain and no good SM-proof: CSMA (Thm. 5.37)",
         )
 
-    def run(self) -> tuple[Relation, PlanChoice]:
+    def run(self) -> tuple[Relation, PlanChoice, int]:
+        """Run the chosen algorithm: ``(output, choice, tuples_touched)``,
+        the last being the chosen engine's own work count."""
         from repro.core.simple_keys import closure_trick_join
 
         choice = self.choose()
         if choice.algorithm == "generic-join":
-            out, _ = generic_join(self.query, self.db)
+            out, stats = generic_join(self.query, self.db)
         elif choice.algorithm == "closure-trick":
-            out, _ = closure_trick_join(self.query, self.db)
+            out, stats = closure_trick_join(self.query, self.db)
         elif choice.algorithm == "chain":
             _, chain = self._best_chain()
-            out, _ = chain_algorithm(
+            out, stats = chain_algorithm(
                 self.query, self.db, self.lattice, self.inputs, chain
             )
         elif choice.algorithm == "sma":
-            out, _ = submodularity_algorithm(
+            out, stats = submodularity_algorithm(
                 self.query, self.db, self.lattice, self.inputs
             )
         else:
-            out = csma(
-                self.query, self.db, self.lattice, self.inputs
-            ).relation
-        return out, choice
+            result = csma(self.query, self.db, self.lattice, self.inputs)
+            out, stats = result.relation, result.stats
+        return out, choice, stats.tuples_touched

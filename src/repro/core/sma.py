@@ -158,7 +158,7 @@ def submodularity_algorithm(
         ):
             np = frontier_blocks.np
             left_block = frontier_blocks.columns_to_block(
-                t_x.columns(), len(t_x.tuples)
+                t_x.column_store(), len(t_x)
             )
             if left_block is not None:
                 sorted_keys, payload = t_y.join_block(

@@ -6,8 +6,10 @@ module is that check-in point.  A context (one per worker thread running
 a query) carries a tuple of zero-argument hooks; :func:`checkpoint` runs
 them and is called from the batch entry points of
 ``expansion_plan.py``, the key-join seams of ``frontier.py``, the
-per-depth loop of ``generic_join.py`` and the per-node descent of
-``leapfrog.py``.  A hook signals by *raising* — typically
+per-depth loop of ``generic_join.py``, the per-node descent of
+``leapfrog.py`` and the pivot loop of the exact LP (``lp/exact.py``,
+so a deadline also stops a cold admission bound).  A hook signals by
+*raising* — typically
 :class:`~repro.errors.QueryTimeout` from a :class:`Deadline`, or an
 injected fault from ``repro.serve.faults`` — so a timed-out query
 unwinds and releases its worker instead of orphaning it.

@@ -147,16 +147,19 @@ class Database:
         self._queries.clear()
 
     def rebuild_codec(self, codec: Codec | None = None) -> Codec:
-        """Swap in a fresh (or caller-shared) codec and re-encode every
-        stored relation through it.
+        """Swap in a fresh (or caller-shared) codec and renumber every
+        stored relation's twin into it.
 
         The dictionaries' append-only/stable-code contract means cold
         entries — values interned by long-gone queries' mid-run UDF
         evaluations — can never be evicted *in place*.  A long-uptime
         service instead compacts wholesale: rebuild from the live stored
-        relations, dropping everything else.  All compiled plans and the
-        runtime twins are invalidated (they embed the old codes); results
-        are unchanged because encoding is a bijection per codec.
+        relations, dropping everything else.  The rebuild is a renumbering
+        (:meth:`Codec.renumber_relation`): only each column's distinct
+        live values are hashed, and the twins are remapped by a gather.
+        The result equals re-encoding the stored relations in order.
+        All compiled plans are invalidated (they embed the old codes);
+        results are unchanged because encoding is a bijection per codec.
 
         Must not run concurrently with queries on this database — the
         serving layer compacts only when the tenant has no query in
@@ -165,8 +168,9 @@ class Database:
         if self.codec is None:
             raise ValueError("rebuild_codec on a codec-less database")
         self.codec = codec if codec is not None else Codec()
+        old = self._runtime
         self._runtime = {
-            name: self.codec.encode_relation(rel)
+            name: self.codec.renumber_relation(rel, old[name])
             for name, rel in self.relations.items()
         }
         self._invalidate_plans()

@@ -19,9 +19,22 @@ is exactly what joins require (codes compare equal iff the values do).
 
 Contracts the rest of the engine relies on:
 
-* **Codes are stable.** ``encode`` only appends; adding relations to a
+* **Codes are stable.** Interning only appends; adding relations to a
   database (or interning UDF outputs mid-run) never renumbers existing
   codes, so cached encoded twins, plans and guard tables stay valid.
+  The one renumbering is compaction (``Database.rebuild_codec``), which
+  builds a *fresh* codec and remaps every live twin into it.
+* **Ingest interns a column at a time.** :meth:`Dictionary.encode_column`
+  hashes each cell once, in one C-level pass, and returns the column's
+  codes as an int64 array; codes, ``values`` and first-seen order equal
+  a per-cell ``encode`` loop's.  :meth:`Dictionary.encode` stays for
+  single values (UDF outputs interned mid-run, ``expand_tuple``).
+* **Twins store int64 code columns.** An encoded twin's only store is a
+  read-only ``(width, n)`` int64 array; its row tuples and Python-int
+  column tuples are built on first read (see
+  :meth:`Relation.from_codes <repro.engine.relation.Relation.from_codes>`),
+  so a twin that a query only sizes, or reads through array seams (guard
+  lookups, key and join blocks, frontier blocks), never builds rows.
 * **Encoding is injective per attribute.** ``decode(encode(v)) == v`` for
   every interned value.
 * **Cross-type ``==``-equal values pin to the first-seen representative.**
@@ -49,7 +62,11 @@ Contracts the rest of the engine relies on:
 from __future__ import annotations
 
 import threading
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.engine.relation import Relation
 
@@ -62,12 +79,14 @@ class Dictionary:
     place and codes never move.
 
     Interning is thread-safe: a codec shared by several tenant databases
-    may be probed from many worker threads at once.  The hit path stays
-    lock-free (a dict read under the GIL), only a *miss* takes the
-    per-dictionary lock to re-check and append — so two threads racing
-    on the same fresh value agree on one code, and codes stay dense.
-    The decode table is appended *before* the code is published, so a
-    lock-free reader that sees a code can always decode it.
+    may be probed from many worker threads at once.  The hit path of
+    :meth:`encode` stays lock-free (a dict read under the GIL), only a
+    *miss* takes the per-dictionary lock to re-check and append — so two
+    threads racing on the same fresh value agree on one code, and codes
+    stay dense.  :meth:`encode_column` holds the lock for its whole
+    column.  The decode table is appended *before* the codes are
+    published, so a lock-free reader that sees a code can always decode
+    it.
     """
 
     __slots__ = ("values", "_codes", "_lock")
@@ -86,17 +105,46 @@ class Dictionary:
 
     def encode(self, value) -> int:
         """The code of ``value``, interning it on first sight."""
-        codes = self._codes
         try:
-            return codes[value]
+            return self._codes[value]
         except KeyError:
             with self._lock:
+                codes = self._codes  # re-read: encode_column swaps it
                 code = codes.get(value)
                 if code is None:
                     code = len(self.values)
                     self.values.append(value)
                     codes[value] = code
                 return code
+
+    def encode_column(self, column: Iterable, n: int) -> np.ndarray:
+        """The codes of a column's ``n`` cells as an int64 array,
+        interning first sightings — the bulk form of ``[self.encode(v)
+        for v in column]``, with equal codes, ``values`` and first-seen
+        order.
+
+        One hash per cell, in one C-level pass under the lock:
+        ``merged.setdefault(v, len(merged))`` over a copy of the code
+        table (``dict.copy`` clones the table without re-hashing) returns
+        a known value's code, or appends a first sighting with the next
+        dense code, its key being the first cell of its ``==``-class.
+        The new keys then extend ``values``, and only after that is the
+        merged table published.
+        """
+        with self._lock:
+            codes = self._codes
+            merged = codes.copy()
+            out = np.fromiter(
+                map(merged.setdefault, column, map(len, repeat(merged))),
+                dtype=np.int64,
+                count=n,
+            )
+            if len(merged) > len(codes):
+                # Decode table first, then publish: a lock-free reader
+                # that sees a code can always decode it.
+                self.values.extend(islice(merged, len(codes), None))
+                self._codes = merged
+        return out
 
     def code_of(self, value) -> int | None:
         """The code of ``value`` without interning (``None`` when unseen)."""
@@ -169,29 +217,65 @@ class Codec:
     def encode_relation(self, relation: Relation) -> Relation:
         """The encoded twin of ``relation`` (cached on the relation).
 
-        The twin stores encoded tuples *and* its encoded columns (the
-        column-store view is a by-product of the column-wise encode, so
-        :meth:`Relation.columns` on the twin is free), with the all-int
-        column verdict pre-seeded — the sort-based index build never has
-        to scan an encoded column.
+        Each column is bulk-interned (:meth:`Dictionary.encode_column`)
+        straight into one row of a ``(width, n)`` int64 array, which is
+        the twin's whole store: rows and Python-int columns materialize
+        only when a consumer reads them.
         """
         cached = relation.encoded_twin(self)
         if cached is not None:
             return cached
         schema = relation.schema
         if schema:
-            encoded_columns = tuple(
-                tuple(map(self.dictionary(a).encode, column))
-                for a, column in zip(schema, relation.columns())
-            )
-            rows = list(zip(*encoded_columns)) if relation.tuples else []
+            n = len(relation)
+            codes = np.empty((len(schema), n), dtype=np.int64)
+            for j, a in enumerate(schema):
+                codes[j] = self.dictionary(a).encode_column(
+                    map(itemgetter(j), relation.tuples), n
+                )
+            # Encoding is injective per attribute, hence injective on
+            # tuples: the twin inherits distinctness.
+            twin = Relation.from_codes(relation.name, schema, codes)
         else:
-            encoded_columns = ()
-            rows = list(relation.tuples)
-        # Encoding is injective per attribute, hence injective on tuples:
-        # the twin inherits distinctness.
-        twin = Relation(relation.name, schema, rows, distinct=True)
-        twin.seed_columns(encoded_columns, all_int=True)
+            twin = Relation(relation.name, schema, relation.tuples, distinct=True)
+        relation.cache_encoded_twin(self, twin)
+        return twin
+
+    def renumber_relation(self, relation: Relation, old_twin: Relation) -> Relation:
+        """The twin of ``relation`` under this codec, remapped from
+        ``old_twin`` (its twin under another codec) — compaction without
+        re-hashing every cell.
+
+        Per column: the live old codes in first-seen order
+        (``np.unique``'s first indices, sorted), the decoded value at
+        each one's first cell as the class representative, one
+        :meth:`Dictionary.encode_column` of those representatives (one
+        hash per live value, not per cell), and a gather from old code
+        to new code.  That interns exactly the values, in
+        exactly the order, that :meth:`encode_relation` on ``relation``
+        would: the same ``values`` lists and the same codes.
+        """
+        cached = relation.encoded_twin(self)
+        if cached is not None:
+            return cached
+        old = old_twin.code_columns()
+        if old is None:
+            return self.encode_relation(relation)
+        codes = np.empty_like(old)
+        rows = relation.tuples
+        for j, a in enumerate(relation.schema):
+            column = old[j]
+            if not column.size:
+                continue
+            _, first = np.unique(column, return_index=True)
+            first.sort()
+            live = column[first]
+            table = np.empty(int(live.max()) + 1, dtype=np.int64)
+            table[live] = self.dictionary(a).encode_column(
+                [rows[p][j] for p in first.tolist()], live.size
+            )
+            codes[j] = table[column]
+        twin = Relation.from_codes(relation.name, relation.schema, codes)
         relation.cache_encoded_twin(self, twin)
         return twin
 

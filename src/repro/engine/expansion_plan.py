@@ -460,23 +460,27 @@ def build_guard_lookup(
     expansion then treats them as dangling).  O(|guard|) once, O(1) per
     probed tuple thereafter.
 
-    When the guard already holds its columnar view (encoded twins always
-    do), the lookup builds in one C pass — ``dict(zip(keys, images))`` —
-    and the build is done if every key was unique (a unique-keyed guard
-    is trivially consistent).  Duplicate keys fall back to the
-    bucket-checking build.
+    On an encoded twin the lookup builds in one C pass over just the
+    key and image code columns — ``dict(zip(keys, images))``, without
+    building the guard's rows — and the build is done if every key was
+    unique (a unique-keyed guard is trivially consistent).  Duplicate
+    keys, and guards without a code array, take the bucket-checking
+    build.
     """
-    columns = guard.cached_columns()
-    if columns is not None and guard.tuples:
+    codes = guard.code_columns()
+    if codes is not None and len(guard):
         key_positions = guard.positions(key_attrs)
         value_positions = guard.positions(value_attrs)
+        columns = {
+            p: codes[p].tolist() for p in {*key_positions, *value_positions}
+        }
         lookup = dict(
             zip(
                 zip(*(columns[p] for p in key_positions)),
                 zip(*(columns[p] for p in value_positions)),
             )
         )
-        if len(lookup) == len(guard.tuples):
+        if len(lookup) == len(guard):
             return lookup
     index = guard.index_on(key_attrs)
     value_positions = guard.positions(value_attrs)

@@ -128,7 +128,11 @@ def rows_to_block(rows, width: int):
 
 
 def columns_to_block(columns, n: int):
-    """Column store → ``(n, len(columns))`` int64 block (or ``None``)."""
+    """Column store (``Relation.column_store()``) → ``(n, len(columns))``
+    int64 block (or ``None``).  A code array converts for free: the block
+    is its transposed view."""
+    if isinstance(columns, np.ndarray):
+        return columns.T
     if not columns:
         return np.empty((n, 0), dtype=np.int64)
     try:

@@ -6,7 +6,7 @@ degree lookups (`|σ_{X=v}(R)|`), which the Chain Algorithm, SMA and CSMA
 all rely on (the paper charges a log factor for this via sorted indexes;
 hashing gives amortized O(1) and does not change any shape).
 
-Three kernel-level optimizations keep derived relations cheap:
+Four kernel-level optimizations keep relations cheap:
 
 * **Interned schemas** — the (schema, positions, varset) triple is computed
   once per distinct schema in a module registry and shared by every
@@ -18,6 +18,9 @@ Three kernel-level optimizations keep derived relations cheap:
 * **Index inheritance** — children built from a partition of a parent index
   (:meth:`seed_index`) start life with that index installed instead of
   re-hashing their tuples; projections are memoized per parent.
+* **Lazy rows over int64 codes** — a dictionary-encoded twin
+  (:meth:`from_codes`) stores only a ``(width, n)`` int64 code array;
+  its ``tuples`` are built on first read.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class Relation:
     __slots__ = (
         "name", "schema", "tuples", "_indexes", "_positions", "_varset",
         "_projections", "_columns", "_columns_all_int", "_twins",
-        "_tuple_set", "_key_sets", "_key_blocks",
+        "_tuple_set", "_key_sets", "_key_blocks", "_codes",
     )
 
     def __init__(
@@ -110,6 +113,9 @@ class Relation:
                         f"tuple {t} does not match schema {self.schema}"
                     )
             self.tuples = tuple(deduped)
+        self._init_caches()
+
+    def _init_caches(self) -> None:
         self._indexes: dict[tuple[str, ...], dict[tuple, list[tuple]]] = {}
         self._projections: "OrderedDict[tuple, Relation]" = OrderedDict()
         self._columns: tuple[tuple, ...] | None = None
@@ -118,6 +124,41 @@ class Relation:
         self._tuple_set: set | None = None
         self._key_sets: dict[tuple, set] | None = None
         self._key_blocks: dict[tuple, object] | None = None
+        self._codes: np.ndarray | None = None
+
+    @staticmethod
+    def from_codes(
+        name: str, schema: Sequence[str], codes: np.ndarray
+    ) -> "Relation":
+        """A relation whose only store is ``codes``, a ``(width, n)``
+        int64 array of distinct rows (an encoded twin; the caller's
+        provenance guarantees distinctness).
+
+        ``tuples`` stays unset until first read, which builds it once
+        from the codes (:class:`_UnbuiltRows`); after that it is a plain
+        slot read.  ``len()``, :meth:`code_columns` and the array
+        readers (:meth:`key_block`, :meth:`join_block`, the sort-based
+        :meth:`index_on`) never build rows.  The array is made
+        read-only, because block seams hand out views of it.
+        """
+        rel = _UnbuiltRows.__new__(_UnbuiltRows)
+        rel.name = name
+        rel.schema, rel._positions, rel._varset = _intern_schema(schema)
+        rel._init_caches()
+        if codes.dtype != np.int64 or codes.shape[:1] != (len(rel.schema),):
+            raise ValueError(
+                f"codes of shape {codes.shape} ({codes.dtype}) do not fit "
+                f"schema {rel.schema}"
+            )
+        codes.flags.writeable = False
+        rel._codes = codes
+        rel._columns_all_int = (True,) * len(rel.schema)
+        if _CHECK_DISTINCT and codes.shape[1]:
+            if np.unique(codes.T, axis=0).shape[0] != codes.shape[1]:
+                raise AssertionError(
+                    f"distinct=True violated for {name}[{rel.schema}]"
+                )
+        return rel
 
     @classmethod
     def from_columns(
@@ -153,7 +194,8 @@ class Relation:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.tuples)
+        codes = self._codes
+        return len(self.tuples) if codes is None else codes.shape[1]
 
     def __iter__(self):
         return iter(self.tuples)
@@ -216,9 +258,9 @@ class Relation:
         if cached is None:
             from repro.engine import frontier
 
-            columns = self.columns()
+            columns = self.column_store()
             positions = self.positions(key)
-            block = np.empty((len(self.tuples), len(positions)), dtype=np.int64)
+            block = np.empty((len(self), len(positions)), dtype=np.int64)
             for j, p in enumerate(positions):
                 block[:, j] = columns[p]
             cached, _ = frontier.sorted_key_block(block)
@@ -264,8 +306,8 @@ class Relation:
         if cached is None:
             from repro.engine import frontier
 
-            columns = self.columns()
-            n = len(self.tuples)
+            columns = self.column_store()
+            n = len(self)
             key_positions = self.positions(tuple(key_attrs))
             block = np.empty((n, len(key_positions)), dtype=np.int64)
             for j, p in enumerate(key_positions):
@@ -292,26 +334,40 @@ class Relation:
     def columns(self) -> tuple[tuple, ...]:
         """Columnar view: one tuple per attribute, cached after first use.
 
-        Key and join blocks, the codec's column-wise encode and the
-        block seams (``frontier.columns_to_block``) read it directly, so
-        they skip the per-call transposition.
+        On a relation built :meth:`from_codes` the tuples hold Python
+        ints converted from the code array; the array readers use
+        :meth:`column_store` instead and skip the conversion.
         """
         if self._columns is None:
-            from operator import itemgetter
+            if self._codes is not None:
+                self._columns = tuple(map(tuple, self._codes.tolist()))
+            else:
+                from operator import itemgetter
 
-            self._columns = tuple(
-                tuple(map(itemgetter(j), self.tuples))
-                for j in range(len(self.schema))
-            )
+                self._columns = tuple(
+                    tuple(map(itemgetter(j), self.tuples))
+                    for j in range(len(self.schema))
+                )
         return self._columns
 
     def cached_columns(self) -> tuple[tuple, ...] | None:
         """The columnar view if already materialized, else ``None``.
 
         For fast paths that profit from columns but should not pay the
-        transposition just to find out (encoded twins always have them).
+        transposition just to find out.
         """
         return self._columns
+
+    def code_columns(self) -> np.ndarray | None:
+        """The read-only ``(width, n)`` int64 code array of a relation
+        built :meth:`from_codes`, else ``None``."""
+        return self._codes
+
+    def column_store(self):
+        """The columns for positional array readers: the int64 code
+        array when the relation has one, else :meth:`columns`.  Either
+        way ``column_store()[p]`` is column ``p``."""
+        return self._codes if self._codes is not None else self.columns()
 
     def columns_all_int(self) -> tuple[bool, ...]:
         """Per-column "every cell is an int" verdict, memoized on the
@@ -336,8 +392,10 @@ class Relation:
     ) -> None:
         """Install a pre-built columnar view (and its all-int verdict).
 
-        Used by the dictionary encoder, whose column-wise encode produces
-        the column-store as a by-product.
+        Used by :meth:`from_columns`, whose producers already hold the
+        result columns.  Encoded twins do not use it: their store is the
+        int64 code array of :meth:`from_codes`, and their Python-int
+        columns are built only if :meth:`columns` is called.
         """
         self._columns = columns
         if all_int:
@@ -394,23 +452,25 @@ class Relation:
         A stable argsort groups equal codes contiguously; buckets are then
         C-level list slices instead of per-row ``setdefault`` calls.  Only
         engaged on large relations whose column is statically (or
-        memoized) all-int — dictionary-encoded twins always qualify.
-        Bucket-internal order stays insertion order (stable sort), like
-        the hash build.  Only relations that already hold their columnar
-        view qualify (encoded twins precompute it): forcing a transpose
-        just to index would cost more than the hash build saves.
+        memoized) all-int — dictionary-encoded twins always qualify, and
+        read their code array directly.  Bucket-internal order stays
+        insertion order (stable sort), like the hash build.  Other
+        relations qualify only when they already hold their columnar
+        view: forcing a transpose just to index would cost more than the
+        hash build saves.
         """
-        if (
-            self._columns is None
-            or len(self.tuples) < 4096
-            or not self.columns_all_int()[p]
-        ):
+        if len(self) < 4096:
             return None
-        col = self._columns[p]
-        try:
-            arr = np.fromiter(col, dtype=np.int64, count=len(col))
-        except OverflowError:
-            return None
+        if self._codes is not None:
+            arr = self._codes[p]
+        else:
+            if self._columns is None or not self.columns_all_int()[p]:
+                return None
+            col = self._columns[p]
+            try:
+                arr = np.fromiter(col, dtype=np.int64, count=len(col))
+            except OverflowError:
+                return None
         order = np.argsort(arr, kind="stable")
         sorted_codes = arr[order]
         boundaries = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
@@ -493,6 +553,8 @@ class Relation:
 
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         schema = tuple(mapping.get(a, a) for a in self.schema)
+        if self._codes is not None:
+            return Relation.from_codes(name or self.name, schema, self._codes)
         return Relation(name or self.name, schema, self.tuples, distinct=True)
 
     def select(self, binding: Mapping[str, object], name: str | None = None) -> "Relation":
@@ -515,3 +577,22 @@ class Relation:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"Relation({self.name}[{','.join(self.schema)}], {len(self)} tuples)"
+
+
+class _UnbuiltRows(Relation):
+    """A :meth:`Relation.from_codes` relation whose ``tuples`` slot is
+    still unset.  Its ``__getattr__`` builds the rows on first read and
+    turns the object back into a plain :class:`Relation`: a class with
+    ``__getattr__`` makes every attribute read take the slow lookup
+    path (about 4× a specialized slot read), so only unbuilt twins pay
+    it.  Two threads racing here build equal rows; either write wins.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, attr: str):
+        if attr != "tuples":
+            raise AttributeError(attr)
+        self.tuples = tuple(zip(*self._codes.tolist()))
+        self.__class__ = Relation
+        return self.tuples

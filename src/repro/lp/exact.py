@@ -50,6 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from repro.engine.cancellation import checkpoint
+
 
 class LPError(RuntimeError):
     """Raised when an LP is infeasible/unbounded or the solver fails."""
@@ -347,6 +349,7 @@ class _Tableau:
         stalled = 0
         bland = False
         while True:
+            checkpoint()  # a query's deadline can stop a cold solve
             entering = None
             if bland:
                 for j, r in self._reduced_costs(costs, allowed):

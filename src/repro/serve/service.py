@@ -145,8 +145,8 @@ def canonical_rows(relation, query: Query) -> tuple[tuple[str, ...], list[tuple]
 def _run_engine(engine: str, query: Query, db: Database):
     """Run one engine; returns ``(relation, algorithm, tuples_touched)``."""
     if engine == "auto":
-        relation, choice = Planner(query, db).run()
-        return relation, choice.algorithm, None
+        relation, choice, touched = Planner(query, db).run()
+        return relation, choice.algorithm, touched
     if engine == "generic":
         relation, stats = generic_join(query, db, fd_aware=True)
         return relation, "generic-join", stats.tuples_touched
@@ -325,18 +325,23 @@ class QueryService:
                 tenant.in_flight += 1
             try:
                 self._faults.fire("worker")
-                decision = admit(
-                    query, db, tenant.budget_log2, tenant=tenant.name
+                # The deadline covers admission too: a cold certified
+                # bound checks in at every exact-LP pivot.  The fault
+                # hook joins only for execution, so chaos rates stay
+                # per executed query.
+                deadline = (
+                    Deadline(deadline_s).check if deadline_s is not None
+                    else None
                 )
-                hooks = []
-                if deadline_s is not None:
-                    hooks.append(Deadline(deadline_s).check)
-                if self._faults.armed:
-                    hooks.append(self._faults.hook())
-                with checkpoint_scope(*hooks):
-                    result = self._run_chain(
-                        tenant, db_name, db, query, engine, decision
+                faults = self._faults.hook() if self._faults.armed else None
+                with checkpoint_scope(deadline):
+                    decision = admit(
+                        query, db, tenant.budget_log2, tenant=tenant.name
                     )
+                    with checkpoint_scope(faults):
+                        result = self._run_chain(
+                            tenant, db_name, db, query, engine, decision
+                        )
                 result.wall_s = time.perf_counter() - start
                 with self._metrics_lock:
                     self._counters["completed"] += 1

@@ -152,7 +152,7 @@ class TestPlanner:
     ])
     def test_run_matches_reference(self, maker):
         query, db = maker()
-        out, choice = Planner(query, db).run()
+        out, choice, _ = Planner(query, db).run()
         ref, _ = binary_join_plan(query, db)
         assert set(out.project(tuple(sorted(query.variables))).tuples) == set(
             ref.project(tuple(sorted(query.variables))).tuples

@@ -14,6 +14,10 @@ Satellite coverage for the columnar encoding PR:
   to ``GUARD_DENSE`` tables exactly when the code domain is dense, with
   out-of-range codes (values interned after compilation) behaving as
   misses, like any unseen key.
+* **Ingest** — bulk column interning equals the per-cell loop (also
+  under racing threads), encoded twins hold int64 code columns and build
+  rows only on first read, and compaction by renumbering equals a full
+  re-encode.
 * **Plane equivalence** — every engine produces identical results and
   bit-identical ``tuples_touched`` with the codec on and off
   (:func:`differential.assert_plane_equivalence`); the encoded batch
@@ -22,6 +26,10 @@ Satellite coverage for the columnar encoding PR:
   ``test_kernel_equivalence.py`` over the shared corpus).
 """
 
+import threading
+from contextvars import copy_context
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +226,180 @@ def test_plane_equivalence_on_corpus(seed):
 def test_plane_equivalence_on_simple_key_workloads(seed):
     query, db = random_simple_key_workload(seed)
     assert_plane_equivalence(query, db)
+
+
+# ----------------------------------------------------------------------
+# Ingest: bulk column interning, lazy twins, compaction by renumbering
+# ----------------------------------------------------------------------
+
+NAN_A, NAN_B = float("nan"), float("nan")
+#: Cross-type ``==``-classes (1/1.0/True, 0/0.0/False), two distinct NaN
+#: objects (distinct dict keys, each equal to itself by identity), nested
+#: tuples and strings.
+MIXED_POOL = (
+    1, 1.0, True, 0, 0.0, False, NAN_A, NAN_B, "a", "b", "",
+    (1, 2), (1.0, 2), ((1, 2), (3, "x")), ((1, 2), (3, "y")), None,
+)
+mixed_cells = st.one_of(
+    st.sampled_from(MIXED_POOL), st.integers(-3, 3), st.text(max_size=2)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(mixed_cells, max_size=25),
+    st.lists(st.lists(mixed_cells, max_size=25), max_size=3),
+)
+def test_bulk_encode_equals_per_cell_encode(prefix, columns):
+    """``encode_column`` on an empty or pre-populated dictionary yields
+    the codes, ``values`` and first-seen order of a per-cell loop."""
+    bulk, cellwise = Dictionary(), Dictionary()
+    for value in prefix:  # pre-populate both the same way
+        bulk.encode(value)
+        cellwise.encode(value)
+    for column in columns:
+        codes = bulk.encode_column(iter(column), len(column))
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [cellwise.encode(v) for v in column]
+        assert bulk.values == cellwise.values
+        assert [bulk.code_of(v) for v in bulk.values] == list(
+            range(len(bulk.values))
+        )
+
+
+def test_bulk_and_single_encodes_race_to_one_code_per_value():
+    d = Dictionary()
+    columns = [
+        [(i * 7 + k * 31) % 400 for i in range(600)] for k in range(4)
+    ]
+    singles = [(i * 11) % 450 for i in range(900)]
+    bulk_results: list = []
+    single_results: list = []
+
+    def bulk(column):
+        bulk_results.append((column, d.encode_column(column, len(column))))
+
+    def single():
+        single_results.append({v: d.encode(v) for v in singles})
+
+    threads = [
+        threading.Thread(target=copy_context().run, args=(bulk, c))
+        for c in columns
+    ]
+    threads += [
+        threading.Thread(target=copy_context().run, args=(single,))
+        for _ in range(3)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    # Dense codes, one code per value, and every racing answer agrees.
+    assert len(d.values) == len(d._codes) == len(set(d.values))
+    assert sorted(d._codes.values()) == list(range(len(d.values)))
+    for column, codes in bulk_results:
+        for v, c in zip(column, codes.tolist()):
+            assert d.encode(v) == c and d.decode(c) == v
+    for mapping in single_results:
+        for v, c in mapping.items():
+            assert d.encode(v) == c and d.decode(c) == v
+
+
+def _rows_built(relation: Relation) -> bool:
+    """Has ``relation`` materialized its row tuples? (Reads the slot
+    without triggering the lazy build.)"""
+    try:
+        Relation.tuples.__get__(relation)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_lazy_twin_answers_len_and_columns_without_rows():
+    rows = [((i % 5, "k"), i * 1.5) for i in range(40)]
+    rel = Relation("R", ("x", "y"), rows)
+    twin = Codec().encode_relation(rel)
+    assert not _rows_built(twin)
+    assert len(twin) == 40 and twin  # truthiness reads len()
+    codes = twin.code_columns()
+    assert codes.dtype == np.int64 and codes.shape == (2, 40)
+    assert not codes.flags.writeable
+    assert twin.column_store() is codes
+    assert not _rows_built(twin)
+    expected = list(zip(*codes.tolist()))
+    assert list(twin.tuples) == expected
+    assert _rows_built(twin)
+    assert twin.tuples is twin.tuples  # built once, then a slot read
+    assert twin.columns() == tuple(map(tuple, codes.tolist()))
+
+
+def test_code_twins_are_validated_like_distinct_rows():
+    from repro.engine import relation as relation_mod
+
+    assert relation_mod._CHECK_DISTINCT  # tests/conftest.py turns it on
+    duplicate_rows = np.array([[1, 1], [2, 2]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="distinct=True violated"):
+        Relation.from_codes("R", ("x", "y"), duplicate_rows)
+    with pytest.raises(ValueError, match="do not fit"):
+        Relation.from_codes("R", ("x",), np.array([[1, 2]], dtype=np.int64).T)
+
+
+def _cellwise_twins(codec: Codec, relations) -> dict:
+    """Reference encode: one ``Dictionary.encode`` per cell, relations
+    and columns in order."""
+    return {
+        rel.name: list(zip(*(
+            [codec.dictionary(a).encode(v) for v in column]
+            for a, column in zip(rel.schema, rel.columns())
+        )))
+        for rel in relations
+    }
+
+
+def test_compaction_by_renumbering_equals_a_full_re_encode():
+    """Two databases on one tenant codec, with cold values interned
+    mid-run and cross-type ``==``-classes whose old representative is not
+    the live first-seen value: compaction renumbers into exactly the
+    dictionaries and twins of re-encoding the stored relations."""
+    shared = Codec()
+    # A cold UDF-style output pins class {1, 1.0, True} to ``1``; the
+    # stored relations only ever hold ``1.0`` and ``True``.
+    shared.dictionary("x").encode(1)
+    shared.dictionary("z").encode("cold")
+    r = Relation("R", ("x", "y"), [(1.0, "p"), (2, "q"), (True, "r"), (3, "p")])
+    s = Relation("S", ("y", "z"), [("q", NAN_A), ("p", (1, 2)), ("r", NAN_B)])
+    t = Relation("T", ("z", "x"), [((1, 2), 4), (NAN_B, 2), ("new", 1)])
+    db1 = Database([r, s], codec=shared)
+    db2 = Database([t, r], codec=shared)  # R shared by both databases
+    fresh = Codec()
+    db1.rebuild_codec(fresh)
+    db2.rebuild_codec(fresh)
+
+    reference = Codec()
+    expected = _cellwise_twins(reference, [r, s])
+    expected_t = _cellwise_twins(reference, [t])
+    assert {a: d.values for a, d in fresh.dictionaries.items()} == {
+        a: d.values for a, d in reference.dictionaries.items()
+    }
+    assert fresh.dictionary("x").values[0] == 1.0  # live first-seen
+    assert type(fresh.dictionary("x").values[0]) is float
+    for name in ("R", "S"):
+        assert list(db1.runtime(name).tuples) == expected[name]
+    assert list(db2.runtime("T").tuples) == expected_t["T"]
+    assert db2.runtime("R") is db1.runtime("R")  # one twin per codec
+    assert db1.codec is db2.codec is fresh
+
+
+def test_cold_fdchain_query_leaves_guard_twins_without_rows():
+    """The FD-chain guards G0–G7 are only sized and read through their
+    code columns: a cold query builds rows for R and U alone."""
+    from repro.datagen.large import fdchain_order, large_fdchain_workload
+    from repro.engine.generic_join import generic_join
+    from repro.serve.admission import certified_bound
+
+    query, db = large_fdchain_workload(10_000, encode=True)
+    certified_bound(query, db)
+    out, stats = generic_join(query, db, order=fdchain_order(), fd_aware=True)
+    assert len(out) and stats.tuples_touched
+    built = {name for name in db.relations if _rows_built(db.runtime(name))}
+    assert built == {"R", "U"}

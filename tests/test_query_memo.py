@@ -141,7 +141,7 @@ def _guarded_db(**kwargs) -> Database:
 def _answers(query, db):
     """Bound, planner verdict and canonical rows of one auto read."""
     bound, _, _ = certified_bound(query, db)
-    relation, choice = Planner(query, db).run()
+    relation, choice, _ = Planner(query, db).run()
     return bound, choice.algorithm, canonical_rows(relation, query)
 
 

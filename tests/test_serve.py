@@ -10,11 +10,14 @@ state machine — *which* stage answers, *which* typed error escapes,
 
 import re
 import threading
+import time
 from contextvars import copy_context
 
 import pytest
 
 from repro.config import ConfigError
+from repro.core.planner import Planner
+from repro.datagen import fig4_instance, fig9_instance
 from repro.engine.cancellation import Deadline, checkpoint_scope
 from repro.engine.database import Database
 from repro.engine.dictionary import Codec
@@ -31,6 +34,9 @@ from repro.errors import (
 )
 from repro.fds.fd import FD, FDSet
 from repro.fds.udf import UDF
+from repro.lattice.builders import lattice_from_query
+from repro.lp import solver as solver_mod
+from repro.lp.llp import LLPSolution
 from repro.query.query import Atom, Query
 from repro.serve.admission import admit, certified_bound
 from repro.serve.faults import FaultInjector, poison_codec
@@ -152,6 +158,89 @@ def test_service_timeout_releases_worker():
         assert result.backend == DEGRADATION_STAGES[0][0]
         assert not result.degraded
         assert service.metrics()["timeouts"] == 1
+
+
+def _clear_lp_memos(query) -> None:
+    """Forget every memoized LP solve of ``query``'s lattice, so the next
+    certified bound pivots from scratch."""
+    lattice, _ = lattice_from_query(query)
+    lattice.__dict__.get("_lp_memo", {}).clear()
+    solver_mod._SOLVE_CACHE.clear()
+
+
+def _memoized_solutions(query, db) -> list:
+    lattice, _ = lattice_from_query(query)
+    memo = lattice.__dict__.get("_lp_memo", {})
+    return [
+        key for key, value in memo.items() if isinstance(value, LLPSolution)
+    ] + list(solver_mod._SOLVE_CACHE) + [
+        entry for entry in db._queries.values() if "certified_bound" in entry
+    ]
+
+
+def test_deadline_stops_a_cold_admission():
+    """A cold exact solve of the Fig. 9 query's bound takes tens of
+    seconds; admission runs inside the query's deadline and the pivot
+    loop checks in, so a 1 s deadline ends it with a typed timeout — and
+    the interrupted solve memoizes nothing."""
+    query, db = fig9_instance(8)
+    service = QueryService(max_workers=1, queue_depth=1, faults=quiet())
+    service.create_tenant("t")
+    service.attach_database("t", "fig9", list(db.relations.values()),
+                            udfs=list(db.udfs))
+    _clear_lp_memos(query)
+    with service:
+        start = time.perf_counter()
+        with pytest.raises(QueryTimeout):
+            service.execute("t", "fig9", query, engine="generic",
+                            deadline_s=1.0)
+        assert time.perf_counter() - start < 5.0
+        assert service.metrics()["timeouts"] == 1
+    stored = service.tenant("t").databases["fig9"]
+    assert _memoized_solutions(query, stored) == []
+
+
+def test_interrupted_admission_then_solves_like_a_fresh_one():
+    """Stop a cold certified bound mid-pivot; the next admission (no
+    deadline) returns exactly the certificate of a solve that was never
+    interrupted."""
+    query, db = fig4_instance(8)
+    _clear_lp_memos(query)
+    pivots = [0]
+
+    def stop_midway():
+        pivots[0] += 1
+        if pivots[0] > 40:
+            raise QueryTimeout("interrupted mid-solve", deadline_s=0.0)
+
+    with checkpoint_scope(stop_midway):
+        with pytest.raises(QueryTimeout):
+            admit(query, db, None)
+    assert pivots[0] == 41
+    assert _memoized_solutions(query, db) == []
+    later = admit(query, db, None).solution
+    assert _memoized_solutions(query, db)  # the check above can see one
+    _clear_lp_memos(query)
+    fresh_db = fig4_instance(8)[1]
+    fresh = certified_bound(query, fresh_db)[1]
+    assert later is not fresh
+    assert later.objective == fresh.objective
+    assert later.inequality.weights == fresh.inequality.weights
+    assert later.certificate == fresh.certificate
+
+
+def test_auto_reports_the_chosen_engines_tuples_touched():
+    service = build_demo_service(tenants=1, faults=quiet())
+    with service:
+        for shape, query in demo_queries().items():
+            name = "expand" if shape == "udf_expand" else "main"
+            db = service.tenant("tenant0").databases[name]
+            result = service.execute("tenant0", name, query, engine="auto")
+            out, choice, touched = Planner(query, db).run()
+            assert result.algorithm == choice.algorithm
+            assert result.tuples_touched == touched
+            assert isinstance(touched, int) and touched > 0
+            assert result.rows == canonical_rows(out, query)[1]
 
 
 # ----------------------------------------------------------------------

@@ -198,6 +198,38 @@ def test_chaos_soak_compactions_bound_dictionary_growth():
         assert metrics["engine_faults"] == 0
 
 
+def test_chaos_compaction_after_every_query_stays_bit_identical():
+    """With a dictionary cap of one value every query is followed by a
+    compaction (a renumbering of every stored twin into a fresh codec),
+    under the same fault storm: each answer is still bit-identical to the
+    fault-free reference, or a typed error."""
+    requests = demo_requests(tenants=N_TENANTS, rounds=6, seed=23)
+    digests = reference_digests(requests)
+    injector = chaos_injector()
+    answered = 0
+    with build_demo_service(
+        tenants=N_TENANTS, faults=injector, dictionary_cap=1
+    ) as service:
+        for request in requests:
+            try:
+                result = service.execute(**request, timeout=RESULT_TIMEOUT_S)
+            except ReproError as err:
+                assert err.context()["tenant"] == request["tenant"]
+                continue
+            assert result.rows == digests[request_key(request)], (
+                f"wrong answer after compaction for {request_key(request)} "
+                f"via {result.backend}"
+            )
+            answered += 1
+        # Queries run one at a time, so every one of them compacted.
+        compactions = sum(
+            service.tenant(tenant_name(i)).compactions
+            for i in range(N_TENANTS)
+        )
+        assert compactions == len(requests)
+    assert answered > 0, "chaos drowned every request"
+
+
 # ----------------------------------------------------------------------
 # Deadlines inside the block executor
 # ----------------------------------------------------------------------

@@ -116,7 +116,7 @@ class TestClosureTrick:
 
     def test_planner_routes_to_closure_trick(self):
         query, db = simple_key_setup()
-        out, choice = Planner(query, db).run()
+        out, choice, _ = Planner(query, db).run()
         assert choice.algorithm == "closure-trick"
         ref, _ = binary_join_plan(query, db)
         assert set(out.project(ref.schema).tuples) == set(ref.tuples)
