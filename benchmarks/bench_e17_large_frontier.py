@@ -1,26 +1,20 @@
-"""E17 — large-frontier scaling: the dictionary-encoded data plane.
+"""E17 — large-frontier scaling of the dictionary-encoded data plane.
 
 E16 gates the paper's *shapes* (growth exponents, bit-identical
-``tuples_touched``) on sub-second instances; E17 gates the *engineering*
-claim of the columnar data plane on ≥1M-row frontiers.  Each workload
-runs three times on identical data — decoded plane (``encode=False``,
-the PR3 kernel), encoded plane with the ndarray frontier backend forced
-*off* (the generated row-loop kernel), and encoded plane as shipped
-(the array-of-int64 frontier engages per ``REPRO_BATCH_NDARRAY``,
-``auto`` by default, and runs the fused block executor) — and must
-satisfy:
-
-* **Plane equivalence** — identical result sets and bit-identical
-  ``tuples_touched`` across all three runs (encoding is a bijection and
-  the block backend charges the row-loop's exact counts; any drift is a
-  kernel bug, asserted here *and* in ``tests/test_ndarray_frontier.py``).
-* **Speedup** (full sizes only) — the shipped encoded plane must beat
-  the decoded plane wall-clock by each workload's gated floor (2× by
-  default; see ``SIZES`` for documented per-workload overrides).
-  Attribute values are nested composite keys
-  (``repro.datagen.large.composite``): the decoded plane re-hashes eight
-  components per probe, the encoded plane probes with small ints, flat
-  dense tables, or whole int64 columns.
+``tuples_touched``) on sub-second instances; E17 runs the engines on
+≥1M-row frontiers of nested composite keys
+(``repro.datagen.large.composite``), which the engines probe as small
+int codes, flat dense tables or whole int64 columns.  Each workload runs
+twice on identical data — with the ndarray frontier backend forced *off*
+(the generated row-loop kernel), and as shipped (the array-of-int64
+frontier engages per ``REPRO_BATCH_NDARRAY``, ``auto`` by default, and
+runs the fused block executor) — and must satisfy **backend
+equivalence**: identical result sets and bit-identical
+``tuples_touched`` across both runs (the block backend charges the
+row-loop's exact counts; any drift is a kernel bug, asserted here *and*
+in ``tests/test_ndarray_frontier.py``).  Counts and digests are gated
+against the committed trajectory by ``check_regression.py``; walls are
+recorded, never gated.
 
 Six workloads cover the five engine families: the Chain Algorithm on
 guarded query (1) skew, SMA's SM-joins on a dense triangle, FD-aware
@@ -32,16 +26,14 @@ CSMA on the degree-bounded triangle of query (2).
 The pytest entry point runs the smoke sizes only (CI's ``--quick`` gate);
 ``python benchmarks/bench_e17_large_frontier.py`` runs the full ≥1M-row
 sweep and is what ``benchmarks/run_all.py`` records into
-``BENCH_<tag>.json``: per-workload ``tuples_touched``, per-plane ingest
-time (datagen + Relation construction + dictionary interning — the
-once-per-database cost), the cold first-query time (lazy plan /
+``BENCH_<tag>.json``: per-workload ``tuples_touched``, per-configuration
+ingest time (datagen + Relation construction + dictionary interning —
+the once-per-database cost), the cold first-query time (lazy plan /
 dense-table / pipeline / index compilation, amortized exactly like
 ingest — ``first_query_s``), the *warm* query wall-clock (the
-steady-state cost a serving system actually pays; the gated speedups
-compare these — since PR 9, so walls are not comparable to earlier
-BENCH files, which timed cold first queries), and the process peak RSS
-after each run (the ``ru_maxrss`` high-water mark, monotone over the
-sweep).
+steady-state cost a serving system actually pays; the oldest BENCH
+files timed cold first queries instead), and the process peak RSS after each run (the ``ru_maxrss`` high-water mark,
+monotone over the sweep).
 """
 
 from __future__ import annotations
@@ -77,41 +69,29 @@ from repro.lattice.builders import lattice_from_query
 from repro.lattice.chains import best_chain_bound
 from repro.lp.cllp import DegreeConstraint
 
-MIN_SPEEDUP = 2.0
-
-#: The three execution configurations every workload runs.  ``encoded``
+#: The two execution configurations every workload runs.  ``encoded``
 #: is the shipped kernel (ndarray frontier per REPRO_BATCH_NDARRAY, auto
 #: by default — engaged at every E17 size, through the fused block
 #: executor); ``encoded-ndoff`` pins the block backend off (the
 #: generated row-loop kernel) so the sweep itself certifies
 #: block-vs-row-loop count equality at scale.
-PLANES = (
-    "decoded",
-    "encoded-ndoff",
-    "encoded",
-)
+PLANES = ("encoded-ndoff", "encoded")
 
 #: Smoke sizes run in CI (seconds); full sizes are the ≥1M-row frontiers
 #: recorded in BENCH_<tag>.json.  Both are recorded by the full sweep so
 #: the CI smoke cross-checks counts against the committed trajectory.
-#: ``min_speedup`` overrides the 2× gate per workload: CSMA's true
-#: encoded-vs-decoded ratio sits at ~2.0 ± machine noise since the
-#: decoded plane's seek fix re-based the baseline (its hot loops are the
-#: CD bucketing and step-less memo joins, which the encoding speeds but
-#: the block backend deliberately leaves alone) — a gate that flips on
-#: scheduler jitter is worse than a documented 1.5× floor.
 SIZES = {
     "chain": {"smoke": 20_000, "full": 250_000, "reps": 3},
     "sma": {"smoke": 20_000, "full": 100_000, "reps": 3},
     "generic": {"smoke": 20_000, "full": 350_000, "reps": 3},
     "fdchain": {"smoke": 50_000, "full": 1_000_000, "reps": 2},
     "lftj": {"smoke": 4_000, "full": 60_000, "reps": 2},
-    "csma": {"smoke": 20_000, "full": 150_000, "reps": 3, "min_speedup": 1.5},
+    "csma": {"smoke": 20_000, "full": 150_000, "reps": 3},
 }
 
 
-def _prepare_chain(n: int, encode: bool):
-    query, db = large_chain_workload(n, encode=encode)
+def _prepare_chain(n: int):
+    query, db = large_chain_workload(n)
     lattice, inputs = lattice_from_query(query)
     logs = {k: db.log_sizes()[k] for k in inputs}
     _, chain, _ = best_chain_bound(lattice, inputs, logs)
@@ -123,8 +103,8 @@ def _prepare_chain(n: int, encode: bool):
     return execute
 
 
-def _prepare_generic(n: int, encode: bool):
-    query, db = large_generic_workload(n, encode=encode)
+def _prepare_generic(n: int):
+    query, db = large_generic_workload(n)
 
     def execute():
         out, stats = generic_join(query, db, fd_aware=True)
@@ -133,8 +113,8 @@ def _prepare_generic(n: int, encode: bool):
     return execute
 
 
-def _prepare_lftj(n: int, encode: bool):
-    query, db = large_lftj_workload(n, encode=encode)
+def _prepare_lftj(n: int):
+    query, db = large_lftj_workload(n)
 
     def execute():
         out, stats = leapfrog_triejoin(query, db)
@@ -143,8 +123,8 @@ def _prepare_lftj(n: int, encode: bool):
     return execute
 
 
-def _prepare_fdchain(n: int, encode: bool):
-    query, db = large_fdchain_workload(n, encode=encode)
+def _prepare_fdchain(n: int):
+    query, db = large_fdchain_workload(n)
     order = fdchain_order()
 
     def execute():
@@ -154,8 +134,8 @@ def _prepare_fdchain(n: int, encode: bool):
     return execute
 
 
-def _prepare_sma(n: int, encode: bool):
-    query, db = large_sma_workload(n, encode=encode)
+def _prepare_sma(n: int):
+    query, db = large_sma_workload(n)
     lattice, inputs = lattice_from_query(query)
 
     def execute():
@@ -165,8 +145,8 @@ def _prepare_sma(n: int, encode: bool):
     return execute
 
 
-def _prepare_csma(n: int, encode: bool):
-    query, db = large_csma_workload(n, encode=encode)
+def _prepare_csma(n: int):
+    query, db = large_csma_workload(n)
     lattice, inputs = lattice_from_query(query)
     x = lattice.index(frozenset("x"))
     xy = lattice.index(frozenset("xy"))
@@ -182,11 +162,11 @@ def _prepare_csma(n: int, encode: bool):
     return execute
 
 
-#: name → prepare(n, encode) -> execute() -> (result set, tuples_touched).
+#: name → prepare(n) -> execute() -> (result set, tuples_touched).
 #: ``prepare`` covers datagen + ingest (Relation construction, dictionary
 #: interning, plan-independent query analysis) — the once-per-database
 #: cost; ``execute`` is the timed query run, as a serving system would
-#: amortize it.  Ingest time is recorded separately per plane.
+#: amortize it.  Ingest time is recorded separately per configuration.
 RUNNERS = {
     "chain": _prepare_chain,
     "sma": _prepare_sma,
@@ -203,12 +183,12 @@ def peak_rss_kb() -> int:
 
 
 def result_digest(out) -> str:
-    """An order-independent digest of the (decoded-value) result set.
+    """An order-independent digest of the (value) result set.
 
     Per-row sha1s are summed modulo 2¹²⁸, so the digest never materializes
     the multi-hundred-MB joined-repr string the old sorted-concat digest
     built on ≥10⁵-row outputs; row order (which differs legitimately
-    across engines and planes) cannot affect the sum.
+    across engines and backends) cannot affect the sum.
     """
     total = 0
     for row in out:
@@ -221,19 +201,17 @@ def result_digest(out) -> str:
 def run_one(name: str, n: int, plane: str) -> dict:
     """One (workload, size, plane) run in *this* process.
 
-    ``plane`` is one of :data:`PLANES`: ``decoded`` disables the codec,
-    ``encoded-ndoff`` runs the encoded kernel with the ndarray frontier
-    backend pinned off, ``encoded`` runs the shipped configuration
+    ``plane`` is one of :data:`PLANES`: ``encoded-ndoff`` runs the
+    kernel with the ndarray frontier backend pinned off, ``encoded``
+    runs the shipped configuration
     (``REPRO_BATCH_NDARRAY`` env respected, ``auto`` by default).  Each
     run times the query
     twice: the cold first query (lazy plan/pipeline/index compilation —
     recorded as ``first_query_s``) and a warm second run, whose wall is
-    ``wall_s`` — the steady-state cost every speedup and floor
-    compares.  Returns
-    the measurement plus a digest of the decoded-value result set, so
+    ``wall_s`` — the steady-state cost.  Returns the measurement plus a
+    digest of the (value) result set, so
     isolated runs can be compared across processes.
     """
-    encode = plane != "decoded"
     saved_mode = frontier_blocks.NDARRAY_MODE
     if plane == "encoded-ndoff":
         frontier_blocks.NDARRAY_MODE = "off"
@@ -242,7 +220,7 @@ def run_one(name: str, n: int, plane: str) -> dict:
         prepare = RUNNERS[name]
         gc.collect()
         start = time.perf_counter()
-        execute = prepare(n, encode)
+        execute = prepare(n)
         ingest = time.perf_counter() - start
         gc.collect()
         # Warm-up query: expansion plans, guard lookups, dense tables,
@@ -250,12 +228,10 @@ def run_one(name: str, n: int, plane: str) -> dict:
         # lazily on first use, so the first query pays a once-per-
         # database cost a serving system amortizes (exactly like ingest,
         # which is why it is recorded separately as ``first_query_s``).
-        # The gated wall is the second, warm run: the steady-state query
-        # cost the planes are actually compared on.  Before PR 9 the
-        # recorded walls were cold first queries — compile-dominated at
-        # full scale, which systematically understated every kernel
-        # delta — so PR 9 walls re-baseline and are not comparable to
-        # earlier BENCH files.
+        # The recorded wall is the second, warm run: the steady-state
+        # query cost.  Cold first queries are compile-dominated at full
+        # scale and understate every kernel delta, so warm walls are not
+        # comparable to the cold walls of the oldest BENCH files.
         start = time.perf_counter()
         out, touched = execute()
         first_query = time.perf_counter() - start
@@ -289,7 +265,8 @@ def run_one(name: str, n: int, plane: str) -> dict:
 
 def _run_isolated(name: str, n: int, plane: str) -> dict:
     """``run_one`` in a fresh interpreter: no allocator or cache state
-    bleeds between the planes, and ``peak_rss_kb`` is per-run."""
+    bleeds between the configurations, and ``peak_rss_kb`` is
+    per-run."""
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{repo_root / 'src'}:{repo_root / 'benchmarks'}"
@@ -310,15 +287,16 @@ def _run_isolated(name: str, n: int, plane: str) -> dict:
 def run_workload(
     name: str, n: int, isolate: bool = True, reps: int = 1
 ) -> dict:
-    """One workload at one size, on all three planes, with equivalence
-    asserts.
+    """One workload at one size, in both configurations, with
+    equivalence asserts.
 
-    The decoded run IS the PR3 kernel and the ``encoded-ndoff`` run IS
-    the PR4 kernel: identical code paths with the codec / block backend
-    toggled.  Result digests and ``tuples_touched`` must match exactly
-    across every run — in particular the ndarray frontier backend is
+    The ``encoded-ndoff`` run is the row-loop kernel: identical code
+    paths with the block backend toggled.  Result digests and
+    ``tuples_touched`` must match exactly across every run — the ndarray
+    frontier backend is
     certified bit-identical to the row-loop backend *at full scale*, per
-    workload, on every sweep.  ``reps`` isolated runs per plane are taken
+    workload, on every sweep.  ``reps`` isolated runs per configuration
+    are taken
     and the *minimum* wall recorded — the standard noise filter on shared
     machines (the workload is deterministic; anything above the min is
     interference).
@@ -344,25 +322,21 @@ def run_workload(
         record[f"wall_{key}_s"] = row["wall_s"]
         record[f"peak_rss_kb_{key}"] = max(r["peak_rss_kb"] for r in rows)
         results[plane] = row
-    dec, enc = results["decoded"], results["encoded"]
-    for plane in PLANES[1:]:
-        assert results[plane]["digest"] == dec["digest"], (
-            f"{name}: {plane} result diverges from decoded"
-        )
-        assert results[plane]["tuples_touched"] == dec["tuples_touched"], (
-            f"{name}: tuples_touched drifts at {plane} "
-            f"({results[plane]['tuples_touched']} != {dec['tuples_touched']})"
-        )
+    ndoff, enc = results["encoded-ndoff"], results["encoded"]
+    assert enc["digest"] == ndoff["digest"], (
+        f"{name}: encoded result diverges from encoded-ndoff"
+    )
+    assert enc["tuples_touched"] == ndoff["tuples_touched"], (
+        f"{name}: tuples_touched drifts between backends "
+        f"({enc['tuples_touched']} != {ndoff['tuples_touched']})"
+    )
     record["tuples_touched"] = enc["tuples_touched"]
     record["output_rows"] = enc["output_rows"]
     # The cross-process/cross-config drift gate for check_regression:
-    # the digest is order-independent and identical across all planes
-    # (just asserted), so REPRO_BATCH_NDARRAY=on and =off sweeps of the
-    # same tree must record the same value per workload.
+    # the digest is order-independent and identical across both
+    # configurations (just asserted), so REPRO_BATCH_NDARRAY=on and =off
+    # sweeps of the same tree must record the same value per workload.
     record["digest"] = enc["digest"]
-    record["speedup"] = round(
-        record["wall_decoded_s"] / max(record["wall_encoded_s"], 1e-9), 2
-    )
     record["ndarray_speedup"] = round(
         record["wall_encoded_ndoff_s"] / max(record["wall_encoded_s"], 1e-9),
         2,
@@ -383,7 +357,7 @@ def run_sweep(level: str = "full") -> dict:
             run_sizes.append(sizes["full"])
         for n in run_sizes:
             key = f"{name}_n{n}"
-            # Full (gated) sizes get min-of-N per plane; smoke stays
+            # Full sizes get min-of-N per configuration; smoke stays
             # single-shot to keep CI fast.
             workloads[key] = run_workload(
                 name,
@@ -392,32 +366,23 @@ def run_sweep(level: str = "full") -> dict:
             )
             print(
                 f"  {key:<18} touched={workloads[key]['tuples_touched']:>9}"
-                f"  decoded={workloads[key]['wall_decoded_s']:>8.2f}s"
                 f"  ndoff={workloads[key]['wall_encoded_ndoff_s']:>8.2f}s"
                 f"  encoded={workloads[key]['wall_encoded_s']:>8.2f}s"
-                f"  speedup={workloads[key]['speedup']:>6.2f}x",
+                f"  ndarray_speedup="
+                f"{workloads[key]['ndarray_speedup']:>6.2f}x",
                 flush=True,
             )
     payload = {
         "level": level,
-        "min_speedup_required": MIN_SPEEDUP,
         "workloads": workloads,
         "wall_clock_s": round(time.perf_counter() - start, 4),
         "peak_rss_kb": peak_rss_kb(),
     }
     if level == "full":
-        total_dec = sum(w["wall_decoded_s"] for w in workloads.values())
         total_enc = sum(w["wall_encoded_s"] for w in workloads.values())
         total_ndoff = sum(
             w["wall_encoded_ndoff_s"] for w in workloads.values()
         )
-        payload["overall_speedup"] = round(total_dec / total_enc, 2)
-        # The PR4-kernel aggregate against the *same* decoded baseline:
-        # the apples-to-apples trajectory comparison now that the
-        # decoded plane's seek pathology is fixed (PR 4's recorded 8.1×
-        # was measured against the pathological baseline and is not
-        # comparable across that fix).
-        payload["overall_speedup_ndoff"] = round(total_dec / total_ndoff, 2)
         payload["overall_ndarray_speedup"] = round(total_ndoff / total_enc, 2)
     return payload
 
@@ -427,7 +392,7 @@ def run_sweep(level: str = "full") -> dict:
 # ----------------------------------------------------------------------
 
 def test_e17_smoke(benchmark):
-    """Smoke sizes: plane equivalence on every workload (wall-clock is
+    """Smoke sizes: backend equivalence on every workload (wall-clock is
     recorded but not gated at smoke scale — CI runners are noisy)."""
     payload = benchmark.pedantic(
         lambda: run_sweep(level="smoke"), rounds=1, iterations=1
@@ -451,19 +416,9 @@ def main(argv: list[str]) -> int:
         return 0
     print("E17 large-frontier sweep (full):")
     payload = run_sweep(level="full")
-    print(f"overall speedup {payload['overall_speedup']}x "
+    print(f"overall ndarray speedup {payload['overall_ndarray_speedup']}x "
           f"(wall {payload['wall_clock_s']}s)")
-    failures = []
-    for name, sizes in SIZES.items():
-        record = payload["workloads"][f"{name}_n{sizes['full']}"]
-        floor = sizes.get("min_speedup", MIN_SPEEDUP)
-        if record["speedup"] < floor:
-            failures.append(
-                f"{name}: speedup {record['speedup']}x < {floor}x"
-            )
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

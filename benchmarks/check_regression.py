@@ -25,14 +25,13 @@ Policy (mirrors PERFORMANCE.md):
   smoke sizes);
 * **fail** when an E17 workload's result-set ``digest`` drifts, when
   both files record one (they do since PR7) — the digest is
-  order-independent over decoded values, so the REPRO_BATCH_NDARRAY
+  order-independent over the result values, so the REPRO_BATCH_NDARRAY
   on/off cross gate pins the *answers*, not just the counts; in
   ``--strict-e17`` mode a missing digest on either side also fails;
 * **warn** (never fail) when the E16 sweep wall-clock or an E17
-  workload's encoded wall-clock regressed beyond ``WALL_CLOCK_SLACK``,
-  or when a full-size E17 workload's recorded speedup fell below the
-  baseline's ``min_speedup_required`` — timing noise on shared CI
-  runners is not a correctness signal, but the trajectory should be
+  workload's encoded wall-clock regressed beyond ``WALL_CLOCK_SLACK`` —
+  timing noise on shared CI runners is not a correctness signal, but
+  the trajectory should be
   visible in the log.  When the two trajectories record differing host
   CPU counts (the top-level ``host`` block, emitted since PR9), every
   timing warning is annotated as cross-host.
@@ -70,8 +69,8 @@ def host_note(baseline: dict, fresh: dict) -> str:
 
     Trajectories record their machine's parallelism in a top-level
     ``host`` block (``cpu_count``) since PR9.  When the two files come
-    from differently-provisioned machines, every wall-clock and speedup
-    comparison is apples to oranges.  Returns a suffix to
+    from differently-provisioned machines, every wall-clock comparison
+    is apples to oranges.  Returns a suffix to
     append to timing warnings, or ``""`` when the hosts match (or
     either file predates the ``host`` block).
     """
@@ -83,8 +82,7 @@ def host_note(baseline: dict, fresh: dict) -> str:
         return ""
     return (
         f" [cross-host: baseline ran on {base_cpus} CPUs, fresh on "
-        f"{fresh_cpus} — wall-clock and speedup comparisons "
-        "are not like-for-like]"
+        f"{fresh_cpus} — wall-clock comparisons are not like-for-like]"
     )
 
 
@@ -238,7 +236,7 @@ def _compare_e17(
             )
         # Result-set digests (recorded since PR7; older baselines lack
         # them and are skipped).  The digest is order-independent over
-        # decoded values, so two sweeps of the same tree — in particular
+        # the result values, so two sweeps of the same tree — in particular
         # the REPRO_BATCH_NDARRAY=on vs =off CI cross gate — must agree
         # exactly; a drift is a wrong *answer*, worse than a wrong count.
         base_digest = base_row.get("digest")
@@ -260,21 +258,6 @@ def _compare_e17(
                 f"E17 encoded wall-clock regressed at {name}: baseline "
                 f"{base_enc}s vs fresh {fresh_enc}s{note}"
             )
-    min_speedup = base_e17.get("min_speedup_required")
-    if min_speedup and fresh_e17.get("level") == "full":
-        for name in sorted(common):
-            speedup = fresh_workloads[name].get("speedup")
-            base_speedup = base_workloads[name].get("speedup")
-            if (
-                speedup is not None
-                and base_speedup is not None
-                and base_speedup >= min_speedup > speedup
-            ):
-                warnings.append(
-                    f"E17 speedup at {name} fell below the gated floor: "
-                    f"{speedup}x < {min_speedup}x (baseline "
-                    f"{base_speedup}x){note}"
-                )
 
 
 def main(argv: list[str]) -> int:

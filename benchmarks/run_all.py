@@ -22,10 +22,10 @@ generations honestly:
   the sweep wall-clock (which refactors should shrink);
 * ``e17`` — the large-frontier suite (``bench_e17_large_frontier``):
   per-workload ``tuples_touched`` and result digests (bit-identical
-  across the decoded, encoded and ndarray-off planes, asserted
-  in-run), every plane's wall-clock, the encoded-plane speedups and
-  peak RSS.  ``--quick`` runs the smoke sizes only; the full ≥1M-row
-  sweep runs otherwise;
+  with the ndarray frontier backend on and off, asserted in-run), both
+  configurations' wall-clock, the ndarray speedups and peak RSS.
+  ``--quick`` runs the smoke sizes only; the full ≥1M-row sweep runs
+  otherwise;
 * ``host`` — the machine's parallelism (``cpu_count``), so wall-clock
   comparisons between trajectories from different machines can be
   qualified by ``check_regression.py``;

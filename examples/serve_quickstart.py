@@ -11,9 +11,8 @@ engines with the machinery a real deployment needs:
 2. **Deadlines** — cooperative checkpoints inside every engine cancel
    over-deadline queries with a typed ``QueryTimeout``.
 3. **Graceful degradation** — injected engine faults push execution down
-   the fallback chain (ndarray blocks → encoded row loop → decoded
-   reference); the answer stays bit-identical, the response records what
-   was absorbed.
+   the two-stage fallback chain (ndarray blocks → row loop); the answer
+   stays bit-identical, the response records what was absorbed.
 4. **Typed errors** — nothing escapes as a bare string; every failure
    carries machine-readable context.
 5. **Metrics** — per-service counters and per-tenant dictionary sizes.

@@ -153,16 +153,6 @@ class Knob:
 _DECLARATIONS: tuple[Knob, ...] = (
     # -- data plane ----------------------------------------------------
     Knob(
-        "REPRO_ENCODE",
-        "flag",
-        default=True,
-        description=(
-            "Dictionary-encoded data plane on new Databases; off reverts "
-            "to the decoded (PR 3) kernel"
-        ),
-        consumers=("repro.engine.database",),
-    ),
-    Knob(
         "REPRO_PLAN_CACHE_MAX",
         "int",
         default=512,
@@ -192,7 +182,7 @@ _DECLARATIONS: tuple[Knob, ...] = (
         default="auto",
         description=(
             "int64 block backend: auto engages at REPRO_BATCH_NDARRAY_MIN "
-            "rows, on forces every encoded batch, off never"
+            "rows, on forces every batch, off never"
         ),
         consumers=("repro.engine.frontier",),
     ),
@@ -255,6 +245,12 @@ KNOBS: dict[str, Knob] = {k.name: k for k in _DECLARATIONS}
 #: Retired knob names → why they are gone.  Referencing one anywhere is
 #: a ``repro-lint`` error *and* a :class:`ConfigError` at read time.
 RETIRED: dict[str, str] = {
+    "REPRO_ENCODE": (
+        "every Database runs on the dictionary-encoded plane; the decoded "
+        "plane it switched to lost every E17 warm query (1.78-16.7x in "
+        "the committed trajectory), and the engines' oracle is the "
+        "value-level reference join in repro.engine.reference"
+    ),
     "REPRO_LP_EXACT_MAX_VARS": (
         "PR 8 removed the auto size cutoff; every solve is exact"
     ),

@@ -82,13 +82,11 @@ def chain_algorithm(
         raise ValueError(f"chain {chain!r} is not good for the inputs")
     counter = WorkCounter()
     stats = ChainAlgorithmStats()
-    encoded = db.encoded
 
     # Step 1: expand inputs to their closures (line 1 of Algorithm 1).
-    # ``expand_runtime`` keeps the result on the active plane: with a
-    # codec the whole climb — degree argmins, candidate expansion, the
-    # footnote-8 verification — runs on dictionary codes, and only the
-    # terminal output decodes.
+    # ``expand_runtime`` keeps the result on codes: the whole climb —
+    # degree argmins, candidate expansion, the footnote-8 verification —
+    # runs on dictionary codes, and only the terminal output decodes.
     expanded: dict[str, Relation] = {}
     for name in inputs:
         expanded[name] = db.expand_runtime(name, counter=counter)
@@ -160,7 +158,7 @@ def chain_algorithm(
         def ensure_plan(info: _CoverInfo):
             if info.plan is None:
                 info.plan = db.expansion_plan(
-                    prev_attrs + info.extra_attrs, ci, encoded=encoded
+                    prev_attrs + info.extra_attrs, ci
                 )
                 info.reorder = tuple_getter(info.plan.positions(ci_sorted))
             return info.plan
@@ -292,8 +290,7 @@ def chain_algorithm(
             if not rows:
                 continue
             if (
-                encoded
-                and frontier_blocks.ndarray_engaged(len(rows))
+                frontier_blocks.ndarray_engaged(len(rows))
                 and run_batch_block(chosen, rows)
             ):
                 continue
@@ -343,14 +340,11 @@ def chain_algorithm(
         stats.per_step_sizes.append(len(frontier))
 
     schema = tuple(sorted(lattice.label(chain.elements[k])))
-    consistent = db.udf_filter(schema, encoded=encoded)
-    rows = (
-        frontier
-        if consistent is None
-        else [t for t in frontier if consistent(t)]
+    consistent = db.udf_filter(schema)
+    if consistent is not None:
+        frontier = [t for t in frontier if consistent(t)]
+    out = Relation(
+        "Q", schema, db.decode_tuples(schema, frontier), distinct=True
     )
-    if encoded:
-        rows = db.decode_tuples(schema, rows)
-    out = Relation("Q", schema, rows, distinct=True)
     stats.tuples_touched = counter.tuples_touched
     return out, stats

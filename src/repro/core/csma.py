@@ -242,10 +242,10 @@ def csma(
     stats = CSMAStats()
     log_sizes = db.log_sizes()
 
-    # Expanded inputs (closed schemas) serve as the initial guards, on the
-    # active plane: with a codec every CD bucketing, CC/SM join and budget
-    # measurement below runs on dictionary codes, and ``final_filter`` is
-    # the decode boundary.
+    # Expanded inputs (closed schemas) serve as the initial guards, on
+    # codes: every CD bucketing, CC/SM join and budget measurement below
+    # runs on dictionary codes, and ``final_filter`` is the decode
+    # boundary.
     expanded: dict[str, Relation] = {
         name: db.expand_runtime(name, counter=counter) for name in inputs
     }
@@ -336,9 +336,7 @@ def csma(
         # C-level union: dict.fromkeys preserves first-insertion order,
         # exactly like the per-tuple setdefault loop.
         seen.update(dict.fromkeys(rel.project(top_attrs).tuples))
-    result = db.final_filter(
-        top_attrs, seen, inputs, counter=counter, encoded=db.encoded
-    )
+    result = db.final_filter(top_attrs, seen, inputs, counter=counter)
     stats.tuples_touched = counter.tuples_touched
     return CSMAResult(Relation("Q", top_attrs, result), stats)
 
@@ -431,8 +429,8 @@ def _execute_join_rule(
     extra_key = tuple_getter(guard.positions(guard_extra))
     # Collect the whole (left ⋈ guard) frontier, then push it through the
     # compiled plan in one batch; an empty join (like the naive path)
-    # never compiles anything.  On the encoded plane with a large left
-    # side the join itself runs vectorized (``frontier.key_join`` over
+    # never compiles anything.  With a large left side the join itself
+    # runs vectorized (``frontier.key_join`` over
     # the guard's sorted key block) and the frontier stays an int64
     # block end to end — emitted rows, match counts and output order are
     # exactly the per-key memoized loop's (``memoized_join_rows``).
@@ -441,11 +439,8 @@ def _execute_join_rule(
     # memoized C loop beats gather-and-retuple.
     if (
         shared
-        and db.encoded
         and frontier_blocks.ndarray_engaged(len(left))
-        and db.expansion_plan(
-            left.schema + guard_extra, target_attrs, encoded=True
-        ).steps
+        and db.expansion_plan(left.schema + guard_extra, target_attrs).steps
     ):
         np = frontier_blocks.np
         left_block = frontier_blocks.columns_to_block(
@@ -500,7 +495,6 @@ def _execute_join_rule(
         target_attrs,
         out_schema,
         counter=counter,
-        encoded=db.encoded,
     )
     branch.degree_guards[(lattice.bottom, target)] = branch.tables[target]
     return True
@@ -526,7 +520,7 @@ def _fallback_join(
     out_schema = tuple(sorted(target))
     rows = []
     if len(current):
-        plan = db.expansion_plan(current.schema, target, encoded=db.encoded)
+        plan = db.expansion_plan(current.schema, target)
         out_key = tuple_getter(plan.positions(out_schema))
         rows = [
             out_key(expanded)

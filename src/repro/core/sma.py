@@ -79,12 +79,10 @@ def submodularity_algorithm(
             )
     counter = WorkCounter()
     stats = SMAStats(budget_log2=float(h_star.values[lattice.top]))
-    encoded = db.encoded
 
     # Initial temporary tables: one expanded copy of R_j per multiset item
-    # (on the active plane — with a codec every SM-join, light/heavy split
-    # and projection below runs on dictionary codes; ``final_filter`` is
-    # the decode boundary).
+    # (on codes — every SM-join, light/heavy split and projection below
+    # runs on dictionary codes; ``final_filter`` is the decode boundary).
     tables: dict[int, Relation] = {}
     for item, name in proof.initial.items():
         expanded = db.expand_runtime(name, counter=counter)
@@ -132,8 +130,8 @@ def submodularity_algorithm(
         # layout.  The join frontier materializes through the shared
         # per-key memoized core (``memoized_join_rows`` — the ``keep``
         # filter is the light-hitter test); counter charges are the
-        # pre-filter match counts, as in the naive loop.  On the encoded
-        # plane with a large T(X) the whole SM-join runs vectorized
+        # pre-filter match counts, as in the naive loop.  With a large
+        # T(X) the whole SM-join runs vectorized
         # instead: ``frontier.key_join`` over T(Y)'s sorted key block,
         # the light-hitter test as a key-block membership, and the
         # frontier an int64 block end to end — same rows, same order,
@@ -148,13 +146,10 @@ def submodularity_algorithm(
         # a step-less join materializes straight into relation tuples,
         # where the per-key memoized C loop beats gather-and-retuple.
         if (
-            encoded
-            and y_lookup_attrs
+            y_lookup_attrs
             and z_attrs
             and frontier_blocks.ndarray_engaged(len(t_x))
-            and db.expansion_plan(
-                t_x.schema + y_extra, xy_attrs, encoded=True
-            ).steps
+            and db.expansion_plan(t_x.schema + y_extra, xy_attrs).steps
         ):
             np = frontier_blocks.np
             left_block = frontier_blocks.columns_to_block(
@@ -219,7 +214,6 @@ def submodularity_algorithm(
                 xy_attrs,
                 out_schema,
                 counter=counter,
-                encoded=encoded,
             )
         _assert_budget(tables[meet_item], h_star, z, lattice, slack_bits)
         _assert_budget(tables[join_item], h_star, xy, lattice, slack_bits)
@@ -235,9 +229,7 @@ def submodularity_algorithm(
         aligned = rel.project(top_attrs)
         for t in aligned.tuples:
             candidates.setdefault(t, None)
-    result = db.final_filter(
-        top_attrs, candidates, inputs, counter=counter, encoded=encoded
-    )
+    result = db.final_filter(top_attrs, candidates, inputs, counter=counter)
     stats.tuples_touched = counter.tuples_touched
     return Relation("Q", top_attrs, result), stats
 

@@ -4,9 +4,10 @@ E16 proves the paper's *shapes* on small instances; these generators
 produce the ≥1M-row frontiers that the dictionary-encoded data plane is
 for.  Attribute values are **composite keys** — 3-tuples of ints, the
 shape of real join keys (multi-part ids, coordinate pairs, feature
-hashes).  Python tuples do not cache their hash, so on the decoded plane
-every guard probe, index lookup and trie seek re-hashes the composite;
-the encoded plane probes with small ints (or flat dense tables) instead.
+hashes).  Python tuples do not cache their hash, so every guard probe,
+index lookup and trie seek over raw values would re-hash the composite;
+the engines probe their dictionary codes — small ints (or flat dense
+tables) — instead.
 That is exactly the gap BENCH_PR4's E17 section tracks.
 
 Four workloads, one per engine family the suite must cover:
@@ -26,7 +27,8 @@ Four workloads, one per engine family the suite must cover:
 
 Every generator is deterministic for a given size (seeded RNG), so
 ``tuples_touched`` is reproducible and gateable across engine
-generations.
+generations.  ``encode`` is passed to :class:`~repro.engine.database.Database`:
+``encode=False`` defers each relation's encoding to its first use.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from repro.query.query import Atom, Query
 def composite(i: int) -> tuple:
     """A nested composite key (two 4-part groups): distinct per ``i``.
 
-    Python tuples do not cache their hash, so every probe on the decoded
-    plane re-hashes all eight components; dictionary-encoded, the same
-    key is one small int.
+    Python tuples do not cache their hash, so every probe on the raw value
+    re-hashes all eight components; dictionary-encoded, the same key is
+    one small int.
     """
     return (
         (i, i ^ 0x5DEECE66D, (i * 2654435761) & 0x3FFFFFFF, i % 7919),
@@ -155,9 +157,9 @@ def large_lftj_workload(
 
     Edges are uniform over a ``Θ(n/120)`` vertex domain — a dense graph
     whose triangle count (the LFTJ match frontier) reaches the millions —
-    so the leapfrog seek path dominates.  On the decoded plane each seek
-    materializes a level's heterogeneous sort keys; on the encoded plane
-    levels are int lists bisected directly.
+    so the leapfrog seek path dominates.  On codes, trie levels are int
+    lists bisected directly (value tries would bisect heterogeneous sort
+    keys).
     """
     rng = random.Random(seed + 13)
     atoms = [Atom("R", ("x", "y")), Atom("S", ("y", "z")), Atom("T", ("z", "x"))]
@@ -191,9 +193,9 @@ def large_fdchain_workload(
     output small, so the run *is* the frontier: after two cheap choose
     depths, every depth is FD-determined and the whole ``Θ(n)``-row
     frontier flows through one ``GUARD_DENSE`` plan step per level —
-    ``np.take`` per level on the encoded plane versus ``n`` composite-key
-    dict probes (plus one re-built row tuple per level) on the decoded
-    plane, then a final membership verification against ``U``.  Use
+    ``np.take`` per level on codes (where raw values would pay ``n``
+    composite-key dict probes per level), then a final membership
+    verification against ``U``.  Use
     ``order = ("w", "x", "a", "b", …)`` so the chain binds in fd order.
     """
     if not 1 <= k <= 20:
@@ -255,9 +257,9 @@ def large_sma_workload(
     degree ≈ ``density``), so the SM proof's joins materialize
     ``Θ(n · density)``-row T(·) tables before the light/heavy splits and
     the final filter cut them down.  Every split key, join probe and
-    filter membership hashes a composite on the decoded plane and a small
-    int (or an int64 block row) on the encoded plane — the SM-join is the
-    hash-bound profile the encoded plane accelerates, complementary to
+    filter membership hashes a small int (or an int64 block row) where
+    raw values would hash a composite — the SM-join is the hash-bound
+    profile the encoding accelerates, complementary to
     E16's (UDF-bound) fig4 SMA shape.  No fds, no UDFs.
     """
     rng = random.Random(seed + 41)
@@ -289,7 +291,7 @@ def large_csma_workload(
     ``n_{xy|x} <= d1`` (``DegreeConstraint(x, xy, log2 d1, guard="R")``)
     — the CLLP drops the budget from N^{3/2} to N·d1, and the execution
     is CD bucketing plus pure join/filter passes over composite keys, the
-    CSMA profile the encoded plane accelerates.  No fds, no UDFs.
+    CSMA profile the encoding accelerates.  No fds, no UDFs.
     """
     rng = random.Random(seed + 29)
     atoms = [Atom("R", ("x", "y")), Atom("S", ("y", "z")), Atom("T", ("z", "x"))]

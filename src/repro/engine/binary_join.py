@@ -42,7 +42,6 @@ def binary_join_plan(
     """
     stats = BinaryJoinStats()
     counter = WorkCounter()
-    encoded = db.encoded
     atom_names = (
         list(order)
         if order is not None
@@ -50,8 +49,8 @@ def binary_join_plan(
             (atom.name for atom in query.atoms), key=lambda n: len(db[n])
         )
     )
-    # The whole plan runs on the active plane (encoded twins when the
-    # database carries a codec); only the terminal relation decodes.
+    # The whole plan runs on the encoded twins; only the terminal relation
+    # decodes.
     current = db.runtime(atom_names[0])
     stats.intermediate_sizes.append(len(current))
     for name in atom_names[1:]:
@@ -64,11 +63,11 @@ def binary_join_plan(
         filled = []
         target = frozenset(query.variables)
         if len(current):
-            plan = db.expansion_plan(current.schema, target, encoded=encoded)
+            plan = db.expansion_plan(current.schema, target)
             from repro.engine.expansion_plan import tuple_getter
 
             out_key = tuple_getter(plan.positions(query.variables))
-            consistent = db.udf_filter(plan.out_schema, encoded=encoded)
+            consistent = db.udf_filter(plan.out_schema)
             counter.add(len(current))
             filled = [
                 out_key(expanded)
@@ -76,23 +75,22 @@ def binary_join_plan(
                 if expanded is not None
                 and (consistent is None or consistent(expanded))
             ]
-        if encoded:
-            filled = db.decode_tuples(query.variables, filled)
-        current = Relation("Q", query.variables, filled)
+        current = Relation(
+            "Q", query.variables, db.decode_tuples(query.variables, filled)
+        )
     elif apply_fd_filters:
         # Check every fd that has a UDF witness (predicates u = f(x, z)).
-        consistent = db.udf_filter(current.schema, encoded=encoded)
+        consistent = db.udf_filter(current.schema)
         counter.add(len(current))
         if consistent is None:
             kept = list(current.tuples)
         else:
             kept = [t for t in current.tuples if consistent(t)]
-        if encoded:
-            kept = db.decode_tuples(current.schema, kept)
         current = Relation(
-            "Q", current.schema, kept, distinct=True
+            "Q", current.schema, db.decode_tuples(current.schema, kept),
+            distinct=True,
         ).project(query.variables, name="Q")
-    elif encoded:
+    else:
         current = db.codec.decode_relation(current, name=current.name)
     stats.tuples_touched = counter.tuples_touched
     return current, stats

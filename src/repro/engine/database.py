@@ -6,12 +6,18 @@ bounds.  The *expansion* of a relation fills in functionally-determined
 attributes: guarded fds by joining with a projection of the guard relation,
 unguarded fds by evaluating the UDF — in time Õ(N), as the paper requires.
 
-Expansion runs through compiled positional plans
-(:mod:`repro.engine.expansion_plan`): for each (source schema, target)
-pair the FD-application order is derived symbolically once, guard lookups
-become precomputed functional maps, and per-tuple execution touches no
-dicts.  ``repro.engine.reference`` retains the naive path; the two are
-differentially tested for identical outputs *and* identical work counts.
+Every database runs on one data plane: a
+:class:`~repro.engine.dictionary.Codec` interns each stored relation into
+int64 code columns (its *twin*), the engines execute on codes, and
+results decode once, at each engine's terminal output.  Expansion runs
+through compiled positional plans (:mod:`repro.engine.expansion_plan`):
+for each (source schema, target) pair the FD-application order is derived
+symbolically once, guard lookups become precomputed functional maps (or
+flat tables over dense code domains), and per-tuple execution touches no
+dicts.  ``repro.engine.reference`` keeps the naive formulations on raw
+values — per-tuple and per-relation expansion and a whole-query join — as
+the independent oracle the engines are differentially tested against, for
+identical outputs *and* identical work counts.
 """
 
 from __future__ import annotations
@@ -41,16 +47,12 @@ from repro.fds.fd import FD, FDSet, VarSet
 from repro.fds.udf import UDF, UDFRegistry
 from repro.util.lru import lru_get, lru_put
 
-#: Dictionary encoding is the default data plane; ``REPRO_ENCODE=0``
-#: reverts every new Database to the decoded (PR3) kernel.
-_ENCODE_DEFAULT = config.get("REPRO_ENCODE")
-
 #: LRU cap shared by the per-database compiled-kernel caches (tuple plans,
 #: relation plans, guard lookups, udf filters) and the per-query compile
 #: memo (:meth:`Database.compiled`).  Every entry memoizes a pure
 #: compilation, so eviction only costs a recompile — the cap exists for
 #: long-uptime serving, where a tenant's query mix churns through far more
-#: (schema, target, plane) combinations than any one benchmark run.
+#: (schema, target) combinations than any one benchmark run.
 PLAN_CACHE_MAX = config.get("REPRO_PLAN_CACHE_MAX")
 
 
@@ -61,16 +63,22 @@ def _lru_put(cache: OrderedDict, key, value) -> None:
 class Database:
     """Relations + FDs + UDFs + declared degree bounds for one query run.
 
-    When ``encode`` is on (the default), the database owns a
-    :class:`~repro.engine.dictionary.Codec` and every stored relation gets
-    a dictionary-encoded twin at :meth:`add` time.  The engines execute on
-    the encoded plane — :meth:`runtime` relations, ``encoded=True`` plans
-    and filters — and decode only at the final result boundary
-    (:meth:`final_filter` / their terminal output relation).  The public
-    per-tuple/per-relation APIs (:meth:`expand_tuple`,
-    :meth:`expand_relation`) keep decoded-value semantics either way:
-    with a codec they encode on entry and decode on exit, charging the
-    work counter bit-identically (encoding is a bijection).
+    The database owns a :class:`~repro.engine.dictionary.Codec` (its own,
+    or ``codec=``, shared by a serving tenant's databases) and keeps a
+    dictionary-encoded twin of every stored relation.  The engines read
+    the twins (:meth:`runtime`), compiled plans and filters, and decode
+    only at the result boundary (:meth:`final_filter` / their terminal
+    output relation).  The public per-tuple/per-relation APIs
+    (:meth:`expand_tuple`, :meth:`expand_relation`) keep value
+    semantics: they encode on entry and decode on exit, charging the
+    work counter as the naive reference does (encoding is a bijection),
+    and :meth:`udf_consistent` evaluates the UDFs on the values
+    themselves.
+
+    Twins are built at :meth:`add` time by default, so ingest pays the
+    encode.  ``encode=False`` defers each twin to the relation's first
+    use (:meth:`runtime`, :meth:`rebuild_codec`): a database that is
+    built but never queried interns nothing.
     """
 
     def __init__(
@@ -82,19 +90,10 @@ class Database:
         encode: bool | None = None,
         codec: Codec | None = None,
     ):
-        if codec is not None:
-            # A caller-supplied codec (the serving layer shares one per
-            # tenant across that tenant's databases) implies the encoded
-            # plane.
-            if encode is False:
-                raise ValueError("codec= given but encode=False requested")
-            self.codec: Codec | None = codec
-        else:
-            self.codec = (
-                Codec()
-                if (encode if encode is not None else _ENCODE_DEFAULT)
-                else None
-            )
+        if codec and encode is False:
+            raise ValueError("codec= given but encode=False requested")
+        self.codec = codec or Codec()
+        self._eager = encode is not False
         self.relations: dict[str, Relation] = {}
         self._runtime: dict[str, Relation] = {}
         # Compiled-kernel caches (LRU, capped at PLAN_CACHE_MAX).  Keys
@@ -106,7 +105,7 @@ class Database:
             OrderedDict()
         )
         self._guard_lookups: OrderedDict[tuple, dict] = OrderedDict()
-        # Keyed on (schema, #udfs, plane) — the salt covers post-hoc
+        # Keyed on (schema, #udfs) — the salt covers post-hoc
         # registration.
         self._udf_filters: OrderedDict[tuple, tuple] = OrderedDict()
         # Per-query compile products (see compiled()), keyed on
@@ -130,7 +129,7 @@ class Database:
         if relation.name in self.relations:
             raise ValueError(f"duplicate relation {relation.name!r}")
         self.relations[relation.name] = relation
-        if self.codec is not None:
+        if self._eager:
             # Encode at construction time; interning only appends, so the
             # codes of previously-added relations are untouched (their
             # twins, indexes and guard tables stay valid — only the plan
@@ -157,39 +156,42 @@ class Database:
         relations, dropping everything else.  The rebuild is a renumbering
         (:meth:`Codec.renumber_relation`): only each column's distinct
         live values are hashed, and the twins are remapped by a gather.
-        The result equals re-encoding the stored relations in order.
-        All compiled plans are invalidated (they embed the old codes);
-        results are unchanged because encoding is a bijection per codec.
+        A relation whose twin was never built (``encode=False``) is
+        encoded here.  The result equals re-encoding the stored relations
+        in order.  All compiled plans are invalidated (they embed the old
+        codes); results are unchanged because encoding is a bijection per
+        codec.
 
         Must not run concurrently with queries on this database — the
         serving layer compacts only when the tenant has no query in
         flight.
         """
-        if self.codec is None:
-            raise ValueError("rebuild_codec on a codec-less database")
-        self.codec = codec if codec is not None else Codec()
+        self.codec = codec or Codec()
         old = self._runtime
         self._runtime = {
-            name: self.codec.renumber_relation(rel, old[name])
+            name: (
+                self.codec.renumber_relation(rel, old[name])
+                if name in old
+                else self.codec.encode_relation(rel)
+            )
             for name, rel in self.relations.items()
         }
         self._invalidate_plans()
         return self.codec
 
-    @property
-    def encoded(self) -> bool:
-        """Is the dictionary-encoded plane active for this database?"""
-        return self.codec is not None
-
     def runtime(self, name: str) -> Relation:
-        """The stored relation on the active execution plane: the encoded
-        twin when a codec is installed, the raw relation otherwise."""
-        if self.codec is None:
-            return self.relations[name]
-        return self._runtime[name]
+        """The encoded twin of stored relation ``name``, built on first
+        use when construction deferred it.  Two threads racing on a
+        deferred twin intern the same values and cache equal twins."""
+        twin = self._runtime.get(name)
+        if twin is None:
+            twin = self._runtime[name] = self.codec.encode_relation(
+                self.relations[name]
+            )
+        return twin
 
     def decode_tuples(self, schema: Sequence[str], rows) -> list[tuple]:
-        """Decode plane → value tuples (the engines' result boundary)."""
+        """Code rows → value tuples (the engines' result boundary)."""
         return self.codec.decode_tuples(tuple(schema), rows)
 
     def __getitem__(self, name: str) -> Relation:
@@ -276,19 +278,17 @@ class Database:
         key_attrs: tuple[str, ...],
         value_attrs: tuple[str, ...],
         multi: bool,
-        encoded: bool,
     ) -> dict:
-        key = (guard.name, key_attrs, value_attrs, multi, encoded)
+        key = (guard.name, key_attrs, value_attrs, multi)
         cached = lru_get(self._guard_lookups, key)
         if cached is None:
             build = build_multi_guard_lookup if multi else build_guard_lookup
-            source = self.runtime(guard.name) if encoded else guard
-            cached = build(source, key_attrs, value_attrs)
+            cached = build(self.runtime(guard.name), key_attrs, value_attrs)
             _lru_put(self._guard_lookups, key, cached)
         return cached
 
     def _encoded_udf_fn(self, udf: UDF):
-        """``udf.fn`` lifted to the encoded plane: decode the argument
+        """``udf.fn`` lifted to codes: decode the argument
         codes lazily (a list index per argument — only paid when the
         genuinely opaque predicate actually runs), apply, intern the
         result into the output attribute's dictionary."""
@@ -312,7 +312,6 @@ class Database:
         source_schema: tuple[str, ...],
         goal: VarSet,
         relation_mode: bool,
-        encoded: bool = False,
     ) -> tuple[tuple[tuple, ...], tuple[str, ...]]:
         """The symbolic replay shared by tuple and relation plans.
 
@@ -368,14 +367,9 @@ class Database:
                         key_attrs,
                         new_attrs,
                         multi=relation_mode,
-                        encoded=encoded,
                     )
                     step = (GUARD, tuple(pos[a] for a in key_attrs), lookup)
-                    if (
-                        encoded
-                        and not relation_mode
-                        and len(key_attrs) == 1
-                    ):
+                    if not relation_mode and len(key_attrs) == 1:
                         # Single-attribute key over a dense code domain:
                         # the functional lookup flattens to a list index.
                         table = densify_lookup(
@@ -399,8 +393,7 @@ class Database:
                             (
                                 UDF_STEP,
                                 tuple(pos[a] for a in udf.inputs),
-                                self._encoded_udf_fn(udf) if encoded
-                                else udf.fn,
+                                self._encoded_udf_fn(udf),
                             )
                         )
                         pos[attr] = len(layout)
@@ -422,20 +415,16 @@ class Database:
         self,
         source_schema: Sequence[str],
         target: VarSet | None = None,
-        encoded: bool = False,
     ) -> ExpansionPlan:
         """Compile (and cache) the per-tuple expansion plan for a schema,
         towards ``target`` (default: the closure of the source schema).
 
-        ``encoded=True`` compiles for the dictionary-encoded plane (code
-        inputs, code-keyed guard lookups / dense tables, lazily-decoding
-        UDF steps); the default stays on decoded values, as the public
-        callers and the pinning tests expect.
+        The plan runs on codes: code-keyed guard lookups (flat tables
+        over dense code domains) and UDF steps that decode their
+        arguments lazily and intern their results.
         """
         source_schema = tuple(source_schema)
-        if encoded and self.codec is None:
-            raise ValueError("encoded plan requested on a codec-less database")
-        key = (source_schema, target, encoded, self._plan_salt())
+        key = (source_schema, target, self._plan_salt())
         cached = lru_get(self._tuple_plans, key)
         if cached is not None:
             return cached
@@ -445,9 +434,9 @@ class Database:
             else self.fds.closure(frozenset(source_schema))
         )
         steps, layout = self._compile_steps(
-            source_schema, goal, relation_mode=False, encoded=encoded
+            source_schema, goal, relation_mode=False
         )
-        plan = ExpansionPlan(source_schema, layout, steps, encoded=encoded)
+        plan = ExpansionPlan(source_schema, layout, steps)
         _lru_put(self._tuple_plans, key, plan)
         return plan
 
@@ -455,7 +444,6 @@ class Database:
         self,
         source_schema: Sequence[str],
         vars_seq: Sequence[str],
-        encoded: bool = False,
     ) -> ExpansionPlan | None:
         """Compile (and cache) the *segment* plan binding ``vars_seq`` in
         order from ``source_schema`` — the concatenation of the per-depth
@@ -474,7 +462,7 @@ class Database:
         """
         source_schema = tuple(source_schema)
         vars_seq = tuple(vars_seq)
-        key = ("run", source_schema, vars_seq, encoded, self._plan_salt())
+        key = ("run", source_schema, vars_seq, self._plan_salt())
         cached = lru_get(self._tuple_plans, key)
         if cached is not None:
             return cached if isinstance(cached, ExpansionPlan) else None
@@ -482,25 +470,21 @@ class Database:
         steps: list = []
         plan: ExpansionPlan | None = None
         for var in vars_seq:
-            sub = self.expansion_plan(
-                schema, frozenset(schema) | {var}, encoded=encoded
-            )
+            sub = self.expansion_plan(schema, frozenset(schema) | {var})
             if len(sub.steps) != 1 or sub.out_schema != schema + (var,):
                 plan = None
                 break
             steps.append(sub.steps[0])
             schema = sub.out_schema
         else:
-            plan = ExpansionPlan(
-                source_schema, schema, tuple(steps), encoded=encoded
-            )
+            plan = ExpansionPlan(source_schema, schema, tuple(steps))
         # Negative results cache too (a non-ExpansionPlan marker): the
         # generic join asks once per (frontier schema, run) per query.
         _lru_put(self._tuple_plans, key, plan if plan is not None else key)
         return plan
 
     def relation_plan(
-        self, source_schema: Sequence[str], encoded: bool = False
+        self, source_schema: Sequence[str]
     ) -> RelationExpansionPlan:
         """Compile (and cache) the whole-relation expansion plan ``R → R⁺``.
 
@@ -509,19 +493,15 @@ class Database:
         fd-violating keys contribute one row per distinct image.
         """
         source_schema = tuple(source_schema)
-        if encoded and self.codec is None:
-            raise ValueError("encoded plan requested on a codec-less database")
-        key = (source_schema, encoded, self._plan_salt())
+        key = (source_schema, self._plan_salt())
         cached = lru_get(self._relation_plans, key)
         if cached is not None:
             return cached
         goal = self.fds.closure(frozenset(source_schema))
         steps, layout = self._compile_steps(
-            source_schema, goal, relation_mode=True, encoded=encoded
+            source_schema, goal, relation_mode=True
         )
-        plan = RelationExpansionPlan(
-            source_schema, layout, steps, encoded=encoded
-        )
+        plan = RelationExpansionPlan(source_schema, layout, steps)
         _lru_put(self._relation_plans, key, plan)
         return plan
 
@@ -533,15 +513,14 @@ class Database:
         target: VarSet,
         out_schema: Sequence[str],
         counter: WorkCounter | None = None,
-        encoded: bool = False,
     ) -> Relation:
-        """Joined rows → expanded-and-reordered output relation.
+        """Joined code rows → expanded-and-reordered output relation.
 
         The shared epilogue of SMA's SM-join and CSMA's join rules: push
         ``rows`` (laid out over ``source_schema``) through the compiled
         expansion plan toward ``target``, drop dangling rows, and reorder
         each survivor onto ``out_schema``.  This is the one door from row
-        frontiers into the block backend: on the encoded plane, once
+        frontiers into the block backend: once
         ``frontier.ndarray_engaged`` holds, the rows convert to one int64
         block and :meth:`expand_block_relation` takes over.  A step-less
         plan (already closed schema) stays a C-level reorder — or a
@@ -553,13 +532,13 @@ class Database:
         out_schema = tuple(out_schema)
         out_tuples = rows
         if rows:
-            plan = self.expansion_plan(source_schema, target, encoded=encoded)
+            plan = self.expansion_plan(source_schema, target)
             out_positions = plan.positions(out_schema)
             if not plan.steps:
                 if out_positions != tuple(range(len(plan.out_schema))):
                     out_tuples = list(map(tuple_getter(out_positions), rows))
             else:
-                if encoded and frontier.ndarray_engaged(len(rows)):
+                if frontier.ndarray_engaged(len(rows)):
                     block = frontier.rows_to_block(rows, len(source_schema))
                     if block is not None:
                         return self.expand_block_relation(
@@ -584,16 +563,20 @@ class Database:
         counter: WorkCounter | None = None,
     ) -> Relation:
         """:meth:`expand_rows_relation` for callers already holding an
-        int64 frontier block (encoded plane only): the block runs the
-        ndarray backend (or just reorders, when the schema is already
-        closed — charging nothing, like the step-less row path) and
-        materializes column-wise, so the relation starts life with its
-        column store and all-int verdict installed.  Output distinctness
-        is the caller's provenance argument, as everywhere.
+        int64 frontier block: the block runs the ndarray backend (or just
+        reorders, when the schema is already closed — charging nothing,
+        like the step-less row path) and the result is a code relation
+        (:meth:`Relation.from_codes`) over its own C-contiguous
+        ``(width, n)`` array — never a view of ``block``, because
+        ``from_codes`` freezes the array it is given.  Rows build only if
+        a consumer reads them; the next SMA/CSMA step reads the array
+        back as a block view (``frontier.columns_to_block``) without a
+        copy.  Output distinctness is the caller's provenance argument,
+        as everywhere.
         """
         source_schema = tuple(source_schema)
         out_schema = tuple(out_schema)
-        plan = self.expansion_plan(source_schema, target, encoded=True)
+        plan = self.expansion_plan(source_schema, target)
         out_positions = list(plan.positions(out_schema))
         if plan.steps:
             out, mask = plan.execute_batch_ndarray(block, counter)
@@ -604,13 +587,7 @@ class Database:
             out = block
         else:
             out = block[:, out_positions]
-        return Relation.from_columns(
-            name,
-            out_schema,
-            [column.tolist() for column in out.T],
-            distinct=True,
-            all_int=True,
-        )
+        return Relation.from_codes(name, out_schema, out.T.copy())
 
     # ------------------------------------------------------------------
     # The expansion procedure (Sec. 2)
@@ -627,15 +604,13 @@ class Database:
         grow; tuples with no guard partner are dangling and dropped);
         unguarded fds evaluate their UDF per tuple.
         """
-        plan = self.relation_plan(relation.schema, encoded=self.encoded)
+        plan = self.relation_plan(relation.schema)
         if not plan.steps:
             return relation
-        source = relation.tuples
-        if self.codec is not None:
-            source = self.codec.encode_relation(relation).tuples
-        tuples = plan.execute_all(source, counter)
-        if self.codec is not None:
-            tuples = self.codec.decode_tuples(plan.out_schema, tuples)
+        source = self.codec.encode_relation(relation).tuples
+        tuples = self.codec.decode_tuples(
+            plan.out_schema, plan.execute_all(source, counter)
+        )
         # Guard steps map each distinct tuple to distinct images and UDF
         # steps are injective, so the output is distinct by provenance.
         return Relation(relation.name, plan.out_schema, tuples, distinct=True)
@@ -643,15 +618,15 @@ class Database:
     def expand_runtime(
         self, name: str, counter: WorkCounter | None = None
     ) -> Relation:
-        """R⁺ of a *stored* relation on the active plane (no decode).
+        """R⁺ of a *stored* relation, on codes (no decode).
 
-        The engines' entry point: with a codec the result stays encoded —
-        its tuples feed indexes, guard probes and plan batches directly,
-        and only each engine's terminal output decodes.  Work counts are
+        The engines' entry point: the result stays encoded — its tuples
+        feed indexes, guard probes and plan batches directly, and only
+        each engine's terminal output decodes.  Work counts are
         bit-identical to :meth:`expand_relation` (encoding is a bijection).
         """
         rel = self.runtime(name)
-        plan = self.relation_plan(rel.schema, encoded=self.encoded)
+        plan = self.relation_plan(rel.schema)
         if not plan.steps:
             return rel
         tuples = plan.execute_all(rel.tuples, counter)
@@ -671,88 +646,64 @@ class Database:
         Pure: the caller's ``binding`` is never mutated.
         """
         schema = tuple(binding)
-        plan = self.expansion_plan(schema, target, encoded=self.encoded)
-        row = tuple(binding.values())
-        if self.codec is not None:
-            row = self.codec.encode_row(schema, row)
+        plan = self.expansion_plan(schema, target)
+        row = self.codec.encode_row(schema, tuple(binding.values()))
         out = plan.execute(row, counter)
         if out is None:
             return None
-        if self.codec is not None:
-            out = self.codec.decode_row(plan.out_schema, out)
+        out = self.codec.decode_row(plan.out_schema, out)
         return dict(zip(plan.out_schema, out))
 
     # ------------------------------------------------------------------
     # UDF-consistency filtering
     # ------------------------------------------------------------------
-    def _udf_check_triples(self, schema: tuple[str, ...]) -> list[tuple]:
-        """``(fn, input_positions, output_position)`` per UDF fully covered
-        by ``schema``, in registration order (uncached helper for
-        :meth:`udf_filter`, which owns the cache)."""
-        positions = {a: i for i, a in enumerate(schema)}
-        checks = []
-        for udf in self.udfs:
-            if udf.output in positions and all(
-                a in positions for a in udf.inputs
-            ):
-                checks.append(
-                    (
-                        udf.fn,
-                        tuple(positions[a] for a in udf.inputs),
-                        positions[udf.output],
-                    )
-                )
-        return checks
+    def _covered_udfs(self, attrs) -> list[UDF]:
+        """The UDFs whose inputs and output all lie in ``attrs``, in
+        registration order."""
+        return [
+            udf for udf in self.udfs
+            if udf.output in attrs and all(a in attrs for a in udf.inputs)
+        ]
 
-    def udf_filter(self, schema: Sequence[str], encoded: bool = False):
-        """Compiled positional predicate ``t -> bool`` for UDF consistency.
+    def udf_filter(self, schema: Sequence[str]):
+        """Compiled positional predicate ``t -> bool`` for UDF consistency
+        of a code row over ``schema``.
 
         Returns ``None`` when no UDF is fully covered by ``schema`` (so
         callers can skip the filter entirely); otherwise a closure testing
         every covered UDF in registration order with unrolled argument
-        extraction.  With ``encoded=True`` the generated clauses decode
-        each cell through its attribute's dictionary (a list index) before
-        applying the opaque predicate — values are compared, never codes.
+        extraction.  The generated clauses decode each cell through its
+        attribute's dictionary (a list index) before applying the opaque
+        predicate — values are compared, never codes.
         """
         schema = tuple(schema)
-        key = (schema, len(self.udfs), encoded)
+        key = (schema, len(self.udfs))
         cached = lru_get(self._udf_filters, key)
         if cached is None:
-            checks = self._udf_check_triples(schema)
-            if not checks:
-                cached = (None,)
-            else:
-                # Flatten the conjunction into one generated function so a
-                # row check costs a single call frame plus the UDF calls.
-                namespace: dict[str, object] = {}
-                clauses = []
-                for i, (fn, input_positions, output_position) in enumerate(checks):
-                    namespace[f"fn{i}"] = fn
-                    if encoded:
-                        for k, p in enumerate(input_positions):
-                            namespace[f"d{i}_{k}"] = self.codec.dictionary(
-                                schema[p]
-                            ).values
-                        namespace[f"o{i}"] = self.codec.dictionary(
-                            schema[output_position]
-                        ).values
-                        args = ", ".join(
-                            f"d{i}_{k}[t[{p}]]"
-                            for k, p in enumerate(input_positions)
-                        )
-                        clauses.append(
-                            f"fn{i}({args}) == o{i}[t[{output_position}]]"
-                        )
-                    else:
-                        args = ", ".join(f"t[{p}]" for p in input_positions)
-                        clauses.append(
-                            f"fn{i}({args}) == t[{output_position}]"
-                        )
+            positions = {a: i for i, a in enumerate(schema)}
+            # Flatten the conjunction into one generated function so a
+            # row check costs a single call frame plus the UDF calls.
+            namespace: dict[str, object] = {}
+            clauses = []
+            for i, udf in enumerate(self._covered_udfs(positions)):
+                namespace[f"fn{i}"] = udf.fn
+                args = []
+                for k, a in enumerate(udf.inputs):
+                    namespace[f"d{i}_{k}"] = self.codec.dictionary(a).values
+                    args.append(f"d{i}_{k}[t[{positions[a]}]]")
+                namespace[f"o{i}"] = self.codec.dictionary(udf.output).values
+                clauses.append(
+                    f"fn{i}({', '.join(args)}) == "
+                    f"o{i}[t[{positions[udf.output]}]]"
+                )
+            if clauses:
                 source = (
                     "def consistent(t):\n    return " + " and ".join(clauses)
                 )
                 exec(source, namespace)
                 cached = (namespace["consistent"],)
+            else:
+                cached = (None,)
             _lru_put(self._udf_filters, key, cached)
         return cached[0]
 
@@ -762,20 +713,17 @@ class Database:
         candidates: Iterable[tuple],
         input_names: Iterable[str],
         counter: WorkCounter | None = None,
-        encoded: bool = False,
     ) -> list[tuple]:
-        """Exact final filter: keep candidate tuples (over ``top_attrs``)
-        present in every named input relation and UDF-consistent.
+        """Exact final filter: keep candidate code tuples (over
+        ``top_attrs``) present in every named input relation and
+        UDF-consistent, decoded to values — the engines' decode boundary.
 
         Positional form of the per-algorithm "filter against the inputs"
-        epilogue: membership via each input's full-schema hash index, UDF
+        epilogue: membership via each input twin's tuple set, UDF
         consistency via the compiled checks.  One work-counter touch per
         candidate, as in the naive row-dict filter.
 
-        ``encoded=True`` is the engines' decode boundary: candidates are
-        code tuples, membership probes hit the encoded twins' indexes, and
-        the surviving tuples are decoded back to values on return.  Under
-        a forced-on block backend the membership conjunction runs
+        Under a forced-on block backend the membership conjunction runs
         vectorized instead: the candidates become one int64 block and
         each input contributes a sorted-key-block ``isin`` pass — same
         survivors, in the same order, decoded at the same single
@@ -785,15 +733,11 @@ class Database:
         under differential coverage.)
         """
         input_names = list(input_names)
-        consistent = self.udf_filter(top_attrs, encoded=encoded)
+        consistent = self.udf_filter(top_attrs)
         candidates = list(candidates)
         if counter is not None:
             counter.add(len(candidates))
-        if (
-            encoded
-            and top_attrs
-            and frontier.ndarray_roundtrip_engaged(len(candidates))
-        ):
+        if top_attrs and frontier.ndarray_roundtrip_engaged(len(candidates)):
             block = frontier.rows_to_block(candidates, len(top_attrs))
             if block is not None:
                 keep = None
@@ -810,27 +754,23 @@ class Database:
                 if consistent is not None:
                     rows = [t for t in rows if consistent(t)]
                 return self.codec.decode_tuples(top_attrs, rows)
-        membership_checks = []
-        for name in input_names:
-            rel = self.runtime(name) if encoded else self.relations[name]
-            membership_checks.append(
-                (
-                    rel.tuple_set(),
-                    tuple_getter(top_attrs.index(a) for a in rel.schema),
-                )
-            )
         # Flatten the membership conjunction into one generated listcomp:
         # per candidate it costs the key extractions (C itemgetters) and
         # set probes, no per-check loop frames.  Semantically identical to
         # the short-circuiting check loop.
         namespace: dict[str, object] = {}
         clauses = []
-        for i, (members, key_of) in enumerate(membership_checks):
-            namespace[f"m{i}"], namespace[f"k{i}"] = members, key_of
+        for i, name in enumerate(input_names):
+            rel = self.runtime(name)
+            namespace[f"m{i}"] = rel.tuple_set()
+            namespace[f"k{i}"] = tuple_getter(
+                top_attrs.index(a) for a in rel.schema
+            )
             clauses.append(f"k{i}(t) in m{i}")
         if consistent is not None:
             namespace["consistent"] = consistent
             clauses.append("consistent(t)")
+        result = candidates
         if clauses:
             source = (
                 "def keep(ts):\n    return [t for t in ts if "
@@ -839,24 +779,22 @@ class Database:
             )
             exec(source, namespace)
             result = namespace["keep"](candidates)
-        else:
-            result = candidates
-        if encoded:
-            return self.codec.decode_tuples(top_attrs, result)
-        return result
+        return self.codec.decode_tuples(top_attrs, result)
 
     def udf_consistent(self, row: Mapping[str, object]) -> bool:
-        """Does ``row`` satisfy every UDF-defined fd it fully covers?
+        """Does the value row ``row`` satisfy every UDF-defined fd it
+        fully covers?
 
         A tuple is a query answer only when t[out] = f(t[inputs]) for every
         UDF f with inputs ∪ {out} ⊆ attrs(t).  All algorithms apply this
         in their final filter, making the output semantics identical across
-        engines even for partial (lookup-table) UDFs.
+        engines even for partial (lookup-table) UDFs.  The UDFs run on the
+        values themselves: nothing is interned into the codec.
         """
-        consistent = self.udf_filter(tuple(row))
-        if consistent is None:
-            return True
-        return consistent(tuple(row.values()))
+        return all(
+            udf.fn(*(row[a] for a in udf.inputs)) == row[udf.output]
+            for udf in self._covered_udfs(row)
+        )
 
     # ------------------------------------------------------------------
     # Statistics for CLLP constraints

@@ -41,20 +41,21 @@ Contracts the rest of the engine relies on:
   ``True``/``1``/``1.0`` hash and compare equal, so they share one code
   and decode to whichever value was interned first (relation ``add``
   order, column by column, then mid-run UDF interning order).  This is the
-  *documented* semantics, not an accident: the raw plane's own dict/set
+  *documented* semantics, not an accident: Python's own dict/set
   machinery already collapses ``==``-equal duplicates to the first
   insertion within any one relation or result set, so no engine contract
   ever distinguishes members of an ``==``-class — a terminal output may
-  surface ``1`` where the decoded plane surfaced ``1.0``, and the two
-  results are equal under ``==`` (which is how every differential assert
-  and every downstream join compares them).  The corollary contract for
-  UDFs: an opaque predicate receives the representative, so it must be
+  surface ``1`` where the value-level reference join surfaced ``1.0``,
+  and the two results are equal under ``==`` (which is how every
+  differential assert and every downstream join compares them).  The
+  corollary contract for UDFs: an opaque predicate receives the
+  representative, so it must be
   well-defined on ``==``-equivalence classes (return ``==``-equal outputs
   for ``==``-equal inputs) — ``w + x`` qualifies, ``type(w) is int`` does
   not.  ``tests/test_encoding.py`` pins both halves on a mixed-type
   differential instance.
 * **The decode boundary is explicit.** Only
-  ``Database.final_filter(..., encoded=True)`` and the engines' terminal
+  ``Database.final_filter`` and the engines' terminal
   ``Relation("Q", ...)`` constructions decode; everything in between runs
   on codes.
 """

@@ -9,29 +9,29 @@ sequence of FD applications, the guard relations, and the attribute
 positions are all determined symbolically.
 
 This module compiles that sequence **once** into an :class:`ExpansionPlan`:
-a flat list of positional steps executed directly on raw tuples.
+a flat list of positional steps executed directly on dictionary-code
+tuples.
 
 * a *guard step* is ``(key positions, functional lookup)`` where the lookup
   maps a key tuple to the new attribute values (precomputed from the guard
   relation, with the fd's "all images agree" consistency verified at build
   time — Sec. 2's guard invariant);
-* a *dense guard step* (dictionary-encoded plans only) replaces the hash
-  probe with a flat ``list`` index: the key is a single attribute whose
-  code domain is dense, so ``table[code]`` *is* the functional lookup;
-* a *UDF step* is ``(callable, input positions)`` for unguarded fds (on
-  the encoded plane the callable decodes its arguments lazily, applies the
-  opaque predicate, and interns the result — see
-  ``Database._encoded_udf_fn``).
+* a *dense guard step* replaces the hash probe with a flat ``list``
+  index: the key is a single attribute whose code domain is dense, so
+  ``table[code]`` *is* the functional lookup;
+* a *UDF step* is ``(callable, input positions)`` for unguarded fds (the
+  callable decodes its arguments lazily, applies the opaque predicate,
+  and interns the result — see ``Database._encoded_udf_fn``).
 
 Plans are cached on the :class:`~repro.engine.database.Database` (compiled
-at most once per source schema / target / plane), and shared by every
+at most once per source schema / target), and shared by every
 algorithm in ``repro.core``.  Work counters are incremented exactly as in
 the reference path (``repro.engine.reference``): one touch per guarded fd
 application (hit or miss) and one per UDF evaluation — the *measured work
 shapes are bit-identical*, only the constant factor drops.
 
 Row-tuple batches run on one executor at every frontier size: the
-generated row-loop.  Encoded plans additionally run int64
+generated row-loop.  Plans additionally run int64
 frontier blocks (:mod:`repro.engine.frontier`) through one block
 executor, ``execute_batch_ndarray``: the plan's generated pipeline from
 :mod:`repro.engine.fused` (dense gathers composed across consecutive
@@ -115,14 +115,13 @@ class ExpansionPlan:
 
     * ``(GUARD, key_positions, lookup)`` — probe the functional lookup with
       the positionally-extracted key; append the image values.
-    * ``(GUARD_DENSE, (position,), table)`` — encoded plans only: index a
-      flat list with the single key code (out-of-range codes — values
-      interned after the plan compiled — are misses, like any unseen key).
+    * ``(GUARD_DENSE, (position,), table)`` — index a flat list with the
+      single key code (out-of-range codes — values interned after the
+      plan compiled — are misses, like any unseen key).
     * ``(UDF, input_positions, fn)`` — append ``fn(*inputs)``.
 
     ``out_schema`` is the source schema followed by the appended attributes
-    in application order.  ``encoded`` marks plans compiled for the
-    dictionary-encoded plane: inputs are code tuples, so every column is
+    in application order.  Inputs are code tuples, so every column is
     statically known to be ints.
 
     ``execute`` is *generated code*: the step list is flattened into one
@@ -134,13 +133,13 @@ class ExpansionPlan:
     It returns a list aligned with the input (``None`` marks dangling
     rows) and charges the counter the exact per-tuple total: one touch
     per step a tuple reaches, nothing past the step where it dangles.
-    ``execute_batch_ndarray`` is the int64 block executor of encoded
-    plans; the two meet only where ``execute_batch`` forwards a row
-    frontier under a forced-on block backend.
+    ``execute_batch_ndarray`` is the int64 block executor; the two meet
+    only where ``execute_batch`` forwards a row frontier under a
+    forced-on block backend.
     """
 
     __slots__ = (
-        "source_schema", "out_schema", "steps", "encoded", "_positions",
+        "source_schema", "out_schema", "steps", "_positions",
         "execute", "_execute_batch_rows", "_nd_specs", "_fused_pipelines",
     )
 
@@ -149,12 +148,10 @@ class ExpansionPlan:
         source_schema: tuple[str, ...],
         out_schema: tuple[str, ...],
         steps: tuple[tuple, ...],
-        encoded: bool = False,
     ):
         self.source_schema = source_schema
         self.out_schema = out_schema
         self.steps = steps
-        self.encoded = encoded
         self._positions = {a: i for i, a in enumerate(out_schema)}
         self.execute = self._compile()
         self._execute_batch_rows = self._compile_batch()
@@ -252,7 +249,7 @@ class ExpansionPlan:
         dangling.
 
         The generated row-loop runs every frontier size.  Under a
-        forced-on block backend an encoded frontier instead takes the
+        forced-on block backend a frontier instead takes the
         tuples → block → tuples roundtrip through
         :meth:`execute_batch_ndarray`, so the differential variants and
         the CI cross gate cover the block path from every row caller.
@@ -270,7 +267,7 @@ class ExpansionPlan:
         if n == 0:
             return []
         checkpoint()  # frontier-block granularity deadline/fault check-in
-        if self.encoded and _frontier.ndarray_roundtrip_engaged(n):
+        if _frontier.ndarray_roundtrip_engaged(n):
             block = _frontier.rows_to_block(tuples, len(self.source_schema))
             if block is not None:
                 out, mask = self.execute_batch_ndarray(block, counter)
@@ -278,7 +275,7 @@ class ExpansionPlan:
         return self._execute_batch_rows(tuples, counter)
 
     # ------------------------------------------------------------------
-    # The ndarray frontier backend (dictionary-encoded plans only)
+    # The ndarray frontier backend
     # ------------------------------------------------------------------
     def _ndarray_specs(self) -> tuple:
         """Per-step numpy payloads, compiled once per plan on first use.
@@ -365,7 +362,7 @@ class ExpansionPlan:
 
     def execute_batch_ndarray(self, block, counter=None, step_alive=None):
         """Run the plan over an ``(n, len(source_schema))`` int64 frontier
-        block (encoded plans only).
+        block.
 
         Returns ``(out, mask)``: ``out`` is the ``(n, len(out_schema))``
         int64 result block, ``mask`` the alive-row flags (``None`` = no
@@ -403,19 +400,17 @@ class RelationExpansionPlan:
     exactly as the reference join does.
     """
 
-    __slots__ = ("source_schema", "out_schema", "steps", "encoded", "_compiled")
+    __slots__ = ("source_schema", "out_schema", "steps", "_compiled")
 
     def __init__(
         self,
         source_schema: tuple[str, ...],
         out_schema: tuple[str, ...],
         steps: tuple[tuple, ...],
-        encoded: bool = False,
     ):
         self.source_schema = source_schema
         self.out_schema = out_schema
         self.steps = steps
-        self.encoded = encoded
         self._compiled = tuple(
             (tag, tuple_getter(positions) if tag == GUARD
              else fused_udf(payload, positions), payload)

@@ -1,11 +1,11 @@
 """Array-of-int64 frontier blocks — the ndarray batch backend's substrate.
 
-On the dictionary-encoded plane every frontier cell is a small non-negative
-int code, so a frontier of ``n`` rows over ``w`` attributes is exactly an
-``(n, w)`` int64 matrix.  This module provides the block vocabulary the
-block executor (``ExpansionPlan.execute_batch_ndarray``, which runs the
-generated pipelines of :mod:`repro.engine.fused`) and the engines'
-frontier seams share:
+Every frontier cell the engines carry is a small non-negative int
+dictionary code, so a frontier of ``n`` rows over ``w`` attributes is
+exactly an ``(n, w)`` int64 matrix.  This module provides the block
+vocabulary the block executor (``ExpansionPlan.execute_batch_ndarray``,
+which runs the generated pipelines of :mod:`repro.engine.fused`) and
+the engines' frontier seams share:
 
 * **blocks** — ``rows_to_block`` / ``columns_to_block`` /
   ``block_to_rows`` convert between Python tuple frontiers and int64
@@ -19,13 +19,12 @@ frontier seams share:
   reinterpreted as fixed-width byte strings compare exactly like the
   corresponding key tuples, since codes are non-negative);
 * **mode knobs** — ``REPRO_BATCH_NDARRAY`` (``auto``/``on``/``off``) and
-  ``REPRO_BATCH_NDARRAY_MIN`` select when encoded plans route batches
+  ``REPRO_BATCH_NDARRAY_MIN`` select when plans route batches
   through the block backend.  ``auto`` engages above the row threshold;
   the CI smoke pins ``on`` vs ``off`` to bit-identical
   ``tuples_touched``.
 
-Everything here is encoded-plane only: raw-plane values are arbitrary
-Python objects and never enter a block.
+Raw values are arbitrary Python objects and never enter a block.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro import config
 from repro.engine.cancellation import checkpoint
 
 
-#: Row count at which ``auto`` mode routes an encoded batch through the
+#: Row count at which ``auto`` mode routes a batch through the
 #: block backend.  Below it the generated row-loop's lower constant wins;
 #: above it ``np.take``/searchsorted amortize the boundary conversions.
 NDARRAY_MIN_ROWS = config.get("REPRO_BATCH_NDARRAY_MIN")
@@ -47,7 +46,7 @@ NDARRAY_MIN_ROWS = config.get("REPRO_BATCH_NDARRAY_MIN")
 _ON = config.ON_VALUES
 _OFF = config.OFF_VALUES
 
-#: ``auto`` (threshold), ``on`` (every encoded batch) or ``off`` (never).
+#: ``auto`` (threshold), ``on`` (every batch) or ``off`` (never).
 #: Mutable module state so the differential harness can force both modes.
 NDARRAY_MODE = config.get("REPRO_BATCH_NDARRAY")
 
@@ -78,8 +77,8 @@ def mode_override(mode: str):
 
 
 def ndarray_engaged(n: int) -> bool:
-    """Does the block backend handle an encoded batch of ``n`` rows under
-    the current mode?  (Callers have already checked ``plan.encoded``.)"""
+    """Does the block backend handle a batch of ``n`` rows under the
+    current mode?"""
     if n <= 0:
         return False
     mode = active_mode()
@@ -105,7 +104,7 @@ def ndarray_roundtrip_engaged(n: int) -> bool:
     work saved roughly equals the two conversions), so under ``auto`` it
     never engages — the block backend is reserved for the direct seams
     (``execute_batch_ndarray`` callers), where frontiers stay blocks.
-    Forcing ``on`` still routes every encoded batch through it, which is
+    Forcing ``on`` still routes every batch through it, which is
     what the differential variants and the CI cross gate rely on."""
     return n > 0 and ndarray_forced_on()
 
@@ -117,7 +116,7 @@ def ndarray_roundtrip_engaged(n: int) -> bool:
 def rows_to_block(rows, width: int):
     """``[tuple, ...] → (n, width) int64`` block, or ``None`` when the rows
     are not a rectangular all-int frontier (callers fall back to the
-    row-loop; encoded frontiers always qualify)."""
+    row-loop; code frontiers always qualify)."""
     try:
         block = np.array(rows, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):

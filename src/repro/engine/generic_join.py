@@ -44,14 +44,13 @@ def _access_paths(
 ) -> tuple:
     """The join's per-depth compiled access paths, FD-determined depths,
     lazily filled expansion-plan slots, determined-run lengths and UDF
-    filter for ``order`` on ``db``'s active plane.  A pure function of
+    filter for ``order`` on ``db``'s encoded twins.  A pure function of
     the query, the order and the database, so :func:`generic_join`
     memoizes it per database (:meth:`Database.compiled`); the lazily
     filled slots only ever receive the relation's or database's own
     cached index, key set, key block or plan, so concurrent joins may
     share them."""
-    # Prefixes, candidate probes and verification all run on the active
-    # plane (encoded twins when the database carries a codec).
+    # Prefixes, candidate probes and verification all run on codes.
     relations = {atom.name: db.runtime(atom.name) for atom in query.atoms}
 
     # Per-depth compiled access paths.  ``choose``: key positions in the
@@ -126,7 +125,7 @@ def _access_paths(
     for depth in range(len(order) - 1, -1, -1):
         det_run[depth] = det_run[depth + 1] + 1 if determined[depth] else 0
 
-    consistent = db.udf_filter(order, encoded=db.encoded)
+    consistent = db.udf_filter(order)
     return choose_paths, verify_paths, determined, plans, det_run, consistent
 
 
@@ -152,7 +151,6 @@ def generic_join(
             or set(order) != set(query.variables)):
         raise ValueError("order must be a permutation of the query variables")
     stats = GenericJoinStats(per_depth=[0] * len(order))
-    encoded = db.encoded
     choose_paths, verify_paths, determined, plans, det_run, consistent = (
         db.compiled(
             query,
@@ -179,7 +177,7 @@ def generic_join(
     # one batched plan execution instead of one call per prefix.  Child
     # order within a prefix matches the recursive formulation, so results
     # (and all counted work) are identical to the depth-first original.
-    # On the encoded plane a large frontier travels as an int64 block
+    # A large frontier travels as an int64 block
     # (``is_block``) across consecutive determined depths: the plan runs
     # on the block backend and verification probes sorted key blocks —
     # rows re-tuple only at a data-dependent choose depth or the terminal.
@@ -197,9 +195,7 @@ def generic_join(
             plan = plans[depth]
             if plan is None:
                 plan = plans[depth] = db.expansion_plan(
-                    order[:depth],
-                    frozenset(order[:depth]) | {var},
-                    encoded=encoded,
+                    order[:depth], frozenset(order[:depth]) | {var}
                 )
             stats.per_depth[depth] += n
             stats.tuples_touched += n
@@ -207,7 +203,6 @@ def generic_join(
                 counter.add(n)
             if (
                 not is_block
-                and encoded
                 and (det_run[depth] >= 2 or frontier_blocks.ndarray_forced_on())
                 and frontier_blocks.ndarray_engaged(n)
             ):
@@ -232,11 +227,7 @@ def generic_join(
                 ):
                     seg += 1
                 seg_plan = (
-                    db.run_plan(
-                        order[:depth],
-                        order[depth:depth + seg],
-                        encoded=encoded,
-                    )
+                    db.run_plan(order[:depth], order[depth:depth + seg])
                     if seg >= 2
                     else None
                 )
@@ -331,12 +322,8 @@ def generic_join(
         # Terminal re-tupling happens through the decode boundary below:
         # the block rows feed the consistency filter / decoder as lists.
         frontier = frontier.tolist()
-    if consistent is None:
-        results = frontier
-    else:
-        results = [t for t in frontier if consistent(t)]
-    if encoded:
-        results = db.decode_tuples(order, results)
-    out = Relation("Q", order, results)
+    if consistent is not None:
+        frontier = [t for t in frontier if consistent(t)]
+    out = Relation("Q", order, db.decode_tuples(order, frontier))
     stats.intermediate_peak = len(out)
     return out, stats

@@ -21,7 +21,8 @@ tuples over ``order[:depth]``, footnote 1's FD binding goes through the
 compiled expansion plan for that prefix schema (closure membership and
 plans are derived once per depth, not per node), and the final
 UDF-consistency check is the compiled positional predicate.
-``expansion="reference"`` swaps the plan for the naive row-dict
+``expansion="reference"`` is the oracle substrate: it walks value tries
+over the raw stored relations and binds with the naive row-dict
 formulation (:func:`repro.engine.reference.reference_expand_tuple`); the
 differential suite runs both and asserts bit-identical results and work
 counts.
@@ -52,11 +53,12 @@ class TrieIndex:
     Every node is a ``(keys, cmp, children)`` triple: the level's distinct
     keys in sorted order, the comparison array the leapfrog search
     bisects, and the child nodes aligned with ``keys``.  ``int_keys=True``
-    (the dictionary-encoded plane) declares every key a plain int, so the
+    (an encoded twin) declares every key a plain int, so the
     comparison array *is* the key list.  Otherwise it is the keys'
     ``_sort_key`` array, built once with the node.  Joins read tries
     through :meth:`Relation.trie <repro.engine.relation.Relation.trie>`,
-    which builds each (relation, order, plane) trie once and caches it.
+    which builds each (relation, order, key kind) trie once and caches
+    it.
     """
 
     def __init__(
@@ -178,9 +180,10 @@ def leapfrog_triejoin(
     expansion procedure at the earliest level.  ``counter`` receives the
     expansion substrate's work charges (one touch per fd application, as
     everywhere in the kernel).  ``expansion`` selects the substrate:
-    ``"plan"`` (compiled positional plans, the default) or ``"reference"``
-    (the naive row-dict path) — the differential suite asserts the two are
-    observationally identical.
+    ``"plan"`` (compiled positional plans over the encoded twins, the
+    default) or ``"reference"`` (value tries and the naive row-dict path)
+    — the differential suite asserts the two are observationally
+    identical.
     """
     order = tuple(order) if order is not None else query.variables
     if (len(order) != len(query.variables)
@@ -189,20 +192,26 @@ def leapfrog_triejoin(
     if expansion not in ("plan", "reference"):
         raise ValueError(f"unknown expansion substrate {expansion!r}")
     use_reference = expansion == "reference"
+    # The compiled-plan substrate runs on the encoded twins' int-keyed
+    # tries; the reference substrate stays on raw values — it *is* the
+    # value-level specification the differential suite compares against.
     if use_reference:
-        from repro.engine.reference import reference_expand_tuple
-    # The compiled-plan substrate rides the active data plane (encoded
-    # twins + int-keyed tries when the database carries a codec); the
-    # reference substrate stays on decoded values — it *is* the
-    # decoded-value specification the differential suite compares against.
-    encoded = db.encoded and not use_reference
-    stats = LeapfrogStats()
-    roots = [
-        (db.runtime(atom.name) if encoded else db.relations[atom.name]).trie(
-            order, int_keys=encoded
+        from repro.engine.reference import (
+            reference_expand_tuple,
+            reference_udf_consistent,
         )
-        for atom in query.atoms
-    ]
+
+        roots = [db[atom.name].trie(order) for atom in query.atoms]
+
+        def consistent(row: tuple) -> bool:
+            return reference_udf_consistent(db, dict(zip(order, row)))
+    else:
+        roots = [
+            db.runtime(atom.name).trie(order, int_keys=True)
+            for atom in query.atoms
+        ]
+        consistent = db.udf_filter(order)
+    stats = LeapfrogStats()
     # For each depth: the atoms (by index) whose trie has a level for it.
     var_atoms = [
         [a for a, atom in enumerate(query.atoms) if var in atom.varset]
@@ -217,7 +226,6 @@ def leapfrog_triejoin(
         for depth, var in enumerate(order)
     ]
     plans: list = [None] * n_vars
-    consistent = db.udf_filter(order, encoded=encoded)
     results: list[tuple] = []
 
     def bind_determined(depth: int, prefix: tuple):
@@ -234,9 +242,7 @@ def leapfrog_triejoin(
         plan = plans[depth]
         if plan is None:
             plan = plans[depth] = db.expansion_plan(
-                order[:depth],
-                frozenset(order[:depth]) | {order[depth]},
-                encoded=encoded,
+                order[:depth], frozenset(order[:depth]) | {order[depth]}
             )
         extended = plan.execute(prefix, counter)
         # The plan appends exactly {var}: extended IS prefix + (value,).
@@ -260,7 +266,7 @@ def leapfrog_triejoin(
                 return
             (value,) = bound
             # Verify against each trie having this level.
-            target = value if encoded else _sort_key(value)
+            target = _sort_key(value) if use_reference else value
             nodes = list(nodes)
             for a in atoms:
                 _, cmp, children = nodes[a]
@@ -297,6 +303,6 @@ def leapfrog_triejoin(
             descend(0, (), roots)
         else:
             emit([()])
-    if encoded:
+    if not use_reference:
         results = db.decode_tuples(order, results)
     return Relation("Q", order, results, distinct=True), stats

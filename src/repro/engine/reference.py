@@ -1,4 +1,5 @@
-"""Naive reference implementations of the expansion procedure (Sec. 2).
+"""Naive reference implementations: expansion (Sec. 2) and the whole
+query — the engines' independent oracle.
 
 These are the row-dict, guard-scanning formulations that the compiled
 positional kernel (:mod:`repro.engine.expansion_plan`) replaced on the hot
@@ -7,15 +8,17 @@ which both paths now enforce) as the *executable specification*: the
 differential property tests in ``tests/test_kernel_equivalence.py`` assert
 that kernel and reference produce identical output relations **and**
 identical ``tuples_touched`` on randomized instances.
+:func:`reference_join` composes them into a naive full-query join, the
+result oracle every engine is checked against in ``tests/differential.py``.
 
-The reference runs on **decoded values only** — it probes the raw stored
-relations (``db.relations``), never the dictionary-encoded twins.  That is
-deliberate: the encoded kernel is differentially tested *against this
-module* (``tests/differential.py::assert_batch_backend_equivalence`` and
-the decoded-plane engine variants), so the spec must stay independent of
-the encoding it validates.  Encoding is a per-attribute bijection, so
-every count below is provably identical across planes: a guard probe hits
-iff the code probe hits, and emitted-row multisets map one-to-one.
+The reference runs on **raw values only** — it probes the stored
+relations (``db.relations``), never the dictionary-encoded twins, and
+shares no plan, codec or block code with the engines.  That is
+deliberate: the engines run on codes and are differentially tested
+*against this module*, so the spec must stay independent of the encoding
+it validates.  Encoding is a per-attribute bijection, so every count
+below is provably identical to the engines': a guard probe hits iff the
+code probe hits, and emitted-row multisets map one-to-one.
 
 Counter accounting contract (shared by both paths):
 
@@ -35,6 +38,7 @@ from repro.engine.database import Database, ExpansionError
 from repro.engine.ops import WorkCounter
 from repro.engine.relation import Relation
 from repro.fds.fd import VarSet, varset
+from repro.query.query import Query
 
 
 def reference_natural_join(
@@ -180,3 +184,31 @@ def reference_udf_consistent(db: Database, row: Mapping[str, object]) -> bool:
             if db.udfs.apply(udf, row) != row[udf.output]:
                 return False
     return True
+
+
+def reference_join(query: Query, db: Database) -> Relation:
+    """The query's answer by the naive definition, on raw values.
+
+    Expand every atom's stored relation to its closure
+    (:func:`reference_expand_relation`), join the expansions left to
+    right (:func:`reference_natural_join`), expand the join to the
+    closure of the query's variables, keep the UDF-consistent rows
+    (:func:`reference_udf_consistent`) and project onto
+    ``query.variables``.  Polynomial, not worst-case optimal: an oracle
+    for small instances, never an engine.
+    """
+    current = None
+    for atom in query.atoms:
+        expanded = reference_expand_relation(db, db[atom.name])
+        current = (
+            expanded if current is None
+            else reference_natural_join(current, expanded)
+        )
+    current = reference_expand_relation(db, current)
+    rows = [
+        t for t in current.tuples
+        if reference_udf_consistent(db, dict(zip(current.schema, t)))
+    ]
+    return Relation("Q", current.schema, rows).project(
+        query.variables, name="Q"
+    )

@@ -248,8 +248,8 @@ class Relation:
         probed by the ndarray frontier's membership checks
         (``frontier.block_isin``).
 
-        Only meaningful on all-int relations (dictionary-encoded twins);
-        callers on the encoded plane guarantee that by construction.
+        Only meaningful on all-int relations (dictionary-encoded twins and
+        the engines' code relations, all-int by construction).
         """
         key = tuple(attrs)
         if self._key_blocks is None:
@@ -270,7 +270,7 @@ class Relation:
     def trie(self, order: Sequence[str], int_keys: bool = False) -> tuple:
         """The root of the sorted trie over this relation in ``order``
         (:class:`repro.engine.leapfrog.TrieIndex`), cached per (order,
-        plane) like :meth:`key_block`.  ``order`` may name variables
+        key kind) like :meth:`key_block`.  ``order`` may name variables
         outside the schema (a query's variable order); only this
         relation's attributes shape the trie.  Nodes are
         ``(keys, cmp, children)`` triples that no join mutates, so every
@@ -297,7 +297,7 @@ class Relation:
         original relation order — matching :meth:`index_on` bucket order
         exactly); ``payload`` is the ``payload_attrs`` columns gathered
         into the same order as an int64 block.  Cached per attribute
-        pair; encoded-plane callers only (all-int cells).
+        pair; code relations only (all-int cells).
         """
         key = ("join", tuple(key_attrs), tuple(payload_attrs))
         if self._key_blocks is None:

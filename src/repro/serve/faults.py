@@ -22,10 +22,13 @@ exactly one fallback.
 :func:`poison_codec` is the fourth fault class: it corrupts a shared
 dictionary entry in place (the decode table suddenly holds an object
 whose ``__eq__``/``__hash__``/``__repr__`` raise), simulating a
-poisoned cache entry.  Encoded-plane stages die at the decode boundary;
-the decoded-reference stage bypasses the codec entirely and still
-produces the correct answer — which is the property the chaos suite
-asserts.
+poisoned cache entry.  Every degradation stage decodes through the
+codec, so a query whose answer holds the poisoned value dies at the
+decode boundary in both stages and ends in a typed
+:class:`~repro.errors.EngineFault` (``stage="exhausted"``) — never a
+wrong answer, which is the property the chaos suite asserts.  The
+tenant's next compaction heals the entry: it rebuilds the codec from
+the stored value rows, not from the poisoned decode table.
 
 ``REPRO_FAULTS`` arms sites from the environment (the CI chaos smoke
 does this): a comma-separated ``site:probability`` list, e.g.

@@ -21,13 +21,16 @@ pool, with the robustness pieces the kernel alone doesn't provide:
   (:mod:`repro.engine.cancellation`) — a timed-out query unwinds and
   releases its worker.
 * **Graceful degradation**: on a classified engine fault the query
-  retries down a fallback chain — encoded plane → encoded plane with
-  the ndarray block backend off → the decoded reference plane
-  (codec-free, immune to poisoned dictionary entries).  Every
-  stage computes the same bit-identical answer (the kernel's
-  differential contract), so a degraded response is *correct*, just
-  slower; the response records which stage answered and every fault
-  absorbed along the way.
+  retries down a two-stage chain — the ndarray block backend, then the
+  generated row loop with blocks off.  Both stages compute the same
+  bit-identical answer (the kernel's differential contract), so a
+  degraded response is *correct*, just slower; the response records
+  which stage answered and every fault absorbed along the way.  A fault
+  that outlives both stages — a poisoned dictionary entry, which every
+  stage decodes through — ends the query in a typed
+  :class:`~repro.errors.EngineFault` (``stage="exhausted"``) carrying
+  both stages' faults; the next compaction heals the poison, because it
+  rebuilds the codec from the stored value rows.
 * **Dictionary compaction**: long-uptime memory control.  When a
   tenant's interned-value count passes its cap, the service rebuilds the
   tenant's codec from the live stored relations (codes are append-only,
@@ -78,14 +81,12 @@ ENGINES = ("auto", "generic", "lftj", "binary", "csma")
 #: The degradation chain, fastest stage first, as ``(label,
 #: ndarray_mode)`` pairs: ``ndarray_mode`` overrides
 #: ``REPRO_BATCH_NDARRAY`` for the stage (``None`` leaves the configured
-#: knob alone).  The encoded block backend falls back to the encoded row
-#: loop (no blocks), then to the decoded reference plane.  Every stage
-#: computes bit-identical canonical rows (the kernel's differential
-#: contract).
+#: knob alone).  The block backend falls back to the row loop (no
+#: blocks).  Both stages compute bit-identical canonical rows (the
+#: kernel's differential contract).
 DEGRADATION_STAGES = (
     ("encoded-ndarray", None),
     ("encoded-rows", "off"),
-    ("decoded-reference", "off"),
 )
 
 
@@ -126,7 +127,6 @@ class Tenant:
         self.dictionary_cap = dictionary_cap
         self.codec = Codec()
         self.databases: dict[str, Database] = {}
-        self.decoded: dict[str, Database] = {}
         self.lock = threading.Lock()
         self.in_flight = 0
         self.compactions = 0
@@ -250,7 +250,6 @@ class QueryService:
         t = self._tenants[tenant]
         with t.lock:
             t.databases.pop(name, None)
-            t.decoded.pop(name, None)
 
     def tenant(self, name: str) -> Tenant:
         return self._tenants[name]
@@ -380,18 +379,13 @@ class QueryService:
         canonical rows — the kernel's differential contract."""
         absorbed: list[dict] = []
         for index, (label, mode) in enumerate(DEGRADATION_STAGES):
-            stage_db = (
-                self._decoded_twin(tenant, db_name, db)
-                if label == "decoded-reference"
-                else db
-            )
             try:
                 override = (
                     frontier.mode_override(mode) if mode else nullcontext()
                 )
                 with override:
                     relation, algorithm, touched = _run_engine(
-                        engine, query, stage_db
+                        engine, query, db
                     )
                     schema, rows = canonical_rows(relation, query)
                 return QueryResult(
@@ -423,25 +417,6 @@ class QueryService:
             engine=engine,
             absorbed=absorbed,
         )
-
-    def _decoded_twin(
-        self, tenant: Tenant, db_name: str, db: Database
-    ) -> Database:
-        """The codec-free reference database for the last-resort stage
-        (built lazily, cached per tenant/database, dropped on detach)."""
-        with tenant.lock:
-            twin = tenant.decoded.get(db_name)
-        if twin is not None:
-            return twin
-        twin = Database(
-            list(db.relations.values()),
-            fds=db.fds,
-            udfs=list(db.udfs),
-            degree_bounds=db.degree_bounds,
-            encode=False,
-        )
-        with tenant.lock:
-            return tenant.decoded.setdefault(db_name, twin)
 
     # -- compaction ----------------------------------------------------
     def _maybe_compact(self, tenant: Tenant) -> None:

@@ -1,10 +1,10 @@
 """Canned multi-tenant workloads for the serving bench, CLI and examples.
 
-Pure-int demo data (so every degradation stage — encoded or decoded —
-produces byte-identical canonical rows), with per-tenant disjoint value
-ranges so cross-tenant corruption is *detectable*: a tenant's result or
-dictionary containing a value outside its range is proof of a leak, and
-the chaos suite asserts exactly that.
+Pure-int demo data (so every degradation stage, and the value-level
+reference join, produce byte-identical canonical rows), with per-tenant
+disjoint value ranges so cross-tenant corruption is *detectable*: a
+tenant's result or dictionary containing a value outside its range is
+proof of a leak, and the chaos suite asserts exactly that.
 
 The query mix covers the planner's taxonomy: a triangle (no fds —
 generic join / AGM), a guarded-simple-key chain (closure trick), and a

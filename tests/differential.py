@@ -3,8 +3,11 @@
 This module is the *contract* a new execution backend must satisfy before
 it ships (see PERFORMANCE.md, "The differential testing contract"):
 
-1. **Result agreement** — on every randomized instance, the engine's
-   output relation must equal every other engine's output
+1. **Result agreement** — on every randomized instance, every engine's
+   output relation must equal the naive reference join
+   (:func:`repro.engine.reference.reference_join`, registered as the
+   mandatory ``reference`` engine): a value-level spec that shares no
+   plan, codec or block code with the engines
    (:func:`run_all_engines` / :func:`assert_engines_agree`).
 2. **Work transparency** — any path that executes expansion work must
    charge ``tuples_touched`` bit-identically to the naive reference
@@ -19,19 +22,12 @@ the forced-on block roundtrip) and the positional-kernel leapfrog port
 are registered as mandatory — a regression in either fails this
 harness, not just a downstream benchmark.
 
-Since the dictionary-encoded data plane became the default, the plain
-registry entries all exercise the *encoded* kernel.  The
-``*-decoded-plane`` variants re-run the key engines on a codec-less
-rebuild of the instance (the PR3 kernel) and are mandatory too:
-encoded-vs-decoded agreement — results *and* bit-identical
-``tuples_touched``, asserted by :func:`assert_plane_equivalence` — is the
-differential test of the encoding itself, with
-:func:`assert_batch_backend_equivalence` pinning both planes' batch
-backends against per-row ``reference_expand_tuple`` (the decoded-value
-specification).  The ``*-ndarray-frontier`` variants (one per algorithm
-family) force the array-of-int64 block backend onto every encoded batch;
-:func:`assert_ndarray_backend_equivalence` pins whole-engine work
-profiles bit-identical with the backend forced on vs off, and
+Every engine runs on dictionary codes.  The ``*-ndarray-frontier``
+variants (one per algorithm family) force the array-of-int64 block
+backend onto every batch; :func:`assert_ndarray_backend_equivalence`
+pins whole-engine work profiles bit-identical with the backend forced on
+vs off, :func:`assert_lazy_equivalence` pins a database that defers its
+encoding (``encode=False``) to an eagerly encoded one, and
 :func:`mixed_type_midrun_instance` generates the cross-type /
 mid-run-interning corpus both sharp-edge fixes are pinned on.
 
@@ -57,7 +53,7 @@ from repro.engine.generic_join import generic_join
 from repro.engine.leapfrog import leapfrog_triejoin
 from repro.engine.ops import WorkCounter
 from repro.engine.relation import Relation
-from repro.engine.reference import reference_expand_tuple
+from repro.engine.reference import reference_expand_tuple, reference_join
 from repro.fds.fd import FD, FDSet
 from repro.fds.udf import UDF
 from repro.lattice.builders import fig4_lattice, fig9_lattice, lattice_from_query
@@ -188,11 +184,12 @@ _MIXED_REPS = {
 
 
 def mixed_type_midrun_instance(seed: int) -> tuple[Query, Database]:
-    """A 4-cycle instance exercising the encoded plane's two sharp edges.
+    """A 4-cycle instance exercising the encoding's two sharp edges.
 
     * **Cross-type values** — every cell is a random ``==``-equal
-      representative (``1`` vs ``1.0`` vs ``True``), so terminal outputs
-      may flip representatives across planes while staying ``==``-equal.
+      representative (``1`` vs ``1.0`` vs ``True``), so engine outputs
+      may surface other representatives than the value-level reference
+      join while staying ``==``-equal.
     * **Mid-run interning** — the unguarded fd ``(w, x) → y`` evaluates a
       UDF whose sums exceed the stored ``y`` domain: fresh codes intern
       *after* the guarded ``y → z`` step's dense table compiled, and every
@@ -259,6 +256,10 @@ def all_instances(seed: int):
 # ----------------------------------------------------------------------
 # The engine registry
 # ----------------------------------------------------------------------
+
+def _run_reference(query, db, schema):
+    return set(reference_join(query, db).project(schema).tuples)
+
 
 def _run_binary(query, db, schema):
     out, _ = binary_join_plan(query, db)
@@ -335,57 +336,9 @@ def _run_csma_exact_lp(query, db, schema):
         return _run_csma(query, db, schema)
 
 
-#: Memo for decoded-plane rebuilds, keyed by source-db identity (the
-#: source is retained so the id cannot be recycled).  Several mandatory
-#: engines re-run each fuzz instance decoded; sharing one rebuild shares
-#: its plan/guard/index caches across them.
-_DECODED_TWINS: dict[int, tuple[Database, Database]] = {}
-_DECODED_TWINS_MAX = 16
-
-
-def decoded_plane_db(db: Database) -> Database:
-    """The same instance on the decoded (codec-less, PR3) kernel.
-
-    Shares the relation objects, fds, udfs and declared bounds; only the
-    execution plane differs.  Returns ``db`` itself when it already runs
-    decoded; memoized per source database.
-    """
-    if not db.encoded:
-        return db
-    cached = _DECODED_TWINS.get(id(db))
-    if cached is not None:
-        return cached[1]
-    twin = Database(
-        list(db.relations.values()),
-        fds=db.fds,
-        udfs=list(db.udfs),
-        degree_bounds=db.degree_bounds,
-        encode=False,
-    )
-    _DECODED_TWINS[id(db)] = (db, twin)
-    if len(_DECODED_TWINS) > _DECODED_TWINS_MAX:
-        _DECODED_TWINS.pop(next(iter(_DECODED_TWINS)))
-    return twin
-
-
-def _run_generic_decoded(query, db, schema):
-    if not _vars_all_in_atoms(query):
-        return None
-    out, _ = generic_join(query, decoded_plane_db(db), fd_aware=True)
-    return set(out.project(schema).tuples)
-
-
-def _run_csma_decoded(query, db, schema):
-    return _run_csma(query, decoded_plane_db(db), schema)
-
-
-def _run_lftj_decoded(query, db, schema):
-    return _run_lftj(query, decoded_plane_db(db), schema)
-
-
 def _ndarray_variant(runner: Callable) -> Callable:
     """The same engine with the ndarray frontier backend forced on for
-    every encoded batch (no row threshold)."""
+    every batch (no row threshold)."""
 
     def run(query, db, schema):
         with ndarray_forced("on"):
@@ -403,6 +356,7 @@ _run_lftj_ndarray = _ndarray_variant(_run_lftj)
 
 #: name → runner(query, db, schema) -> set | None (None = not applicable).
 ENGINES: dict[str, Callable] = {
+    "reference": _run_reference,
     "binary": _run_binary,
     "chain": _run_chain,
     "sma": _run_sma,
@@ -413,9 +367,6 @@ ENGINES: dict[str, Callable] = {
     "lftj-reference-expansion": _run_lftj_reference,
     "chain-exact-lp": _run_chain_exact_lp,
     "csma-exact-lp": _run_csma_exact_lp,
-    "generic-decoded-plane": _run_generic_decoded,
-    "csma-decoded-plane": _run_csma_decoded,
-    "lftj-decoded-plane": _run_lftj_decoded,
     "chain-ndarray-frontier": _run_chain_ndarray,
     "sma-ndarray-frontier": _run_sma_ndarray,
     "csma-ndarray-frontier": _run_csma_ndarray,
@@ -424,25 +375,23 @@ ENGINES: dict[str, Callable] = {
 }
 
 #: Engines that must be applicable (and agree) on every instance the
-#: generators in this module produce.  The kernel-ported leapfrog and its
+#: generators in this module produce.  ``reference`` is the oracle every
+#: other engine is compared against.  The kernel-ported leapfrog and its
 #: reference-substrate twin are mandatory: their agreement *is* the
 #: differential test of the port.  ``csma-exact-lp`` is mandatory too:
 #: every fuzz instance must evaluate correctly with *no* floating-point
 #: LP in the loop (scipy demoted to an optional cross-check).  The
-#: ``*-decoded-plane`` twins are mandatory for the same reason the LFTJ
-#: reference substrate is: every instance must evaluate identically with
-#: the dictionary encoding switched off.  The ``*-ndarray-frontier``
-#: variants force the array-of-int64 backend onto every encoded batch
+#: ``*-ndarray-frontier``
+#: variants force the array-of-int64 backend onto every batch
 #: regardless of size — one per algorithm family; the three whose base
 #: engines apply to every generated instance are mandatory (``chain``/
 #: ``sma`` variants run whenever their base engines do), and
 #: :func:`assert_ndarray_backend_equivalence` additionally pins their
 #: ``tuples_touched`` bit-identical to the row-loop backend.
-MANDATORY_ENGINES = ("binary", "csma", "generic", "lftj",
+MANDATORY_ENGINES = ("reference", "binary", "csma", "generic", "lftj",
                      "lftj-reference-expansion", "csma-exact-lp",
-                     "generic-decoded-plane", "csma-decoded-plane",
-                     "lftj-decoded-plane", "csma-ndarray-frontier",
-                     "generic-ndarray-frontier", "lftj-ndarray-frontier")
+                     "csma-ndarray-frontier", "generic-ndarray-frontier",
+                     "lftj-ndarray-frontier")
 
 
 def run_all_engines(query, db) -> dict[str, set]:
@@ -458,12 +407,12 @@ def run_all_engines(query, db) -> dict[str, set]:
 
 
 def assert_engines_agree(query, db, context: str = "") -> dict[str, set]:
-    """Every applicable engine must produce the same result set; every
-    mandatory engine must be applicable."""
+    """Every applicable engine must produce the reference join's result
+    set; every mandatory engine must be applicable."""
     outputs = run_all_engines(query, db)
     for name in MANDATORY_ENGINES:
         assert name in outputs, f"mandatory engine {name} did not run {context}"
-    reference = outputs["binary"]
+    reference = outputs["reference"]
     for name, result in outputs.items():
         assert result == reference, f"{name} disagrees {context}"
     return outputs
@@ -488,18 +437,16 @@ def _reference_tuple_rows(db, schema, out_schema, rows, counter):
 
 
 def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
-    """The batched plan backends ≡ the naive per-tuple reference, on both
-    data planes.
+    """The batched plan backends ≡ the naive per-tuple reference.
 
     For every stored relation: build a frontier of stored + garbage rows
-    and run it through (a) per-row ``reference_expand_tuple`` and (b) the
-    generated row-loop.  When the database carries a codec, the same rows
-    run again on the *encoded* plan (rows encoded on entry, outputs
-    decoded for the comparison) through the row-loop and through the
-    forced-on int64 block backend: the encoded kernels must match
-    ``reference_expand_tuple`` — the decoded-value specification —
-    bit-identically on results and ``tuples_touched``.
+    and run it through per-row ``reference_expand_tuple`` (the
+    value-level specification) and — rows encoded on entry, outputs
+    decoded for the comparison — through the generated row-loop and the
+    forced-on int64 block backend.  Results and ``tuples_touched`` must
+    match bit-identically.
     """
+    codec = db.codec
     for name, rel in db.relations.items():
         plan = db.expansion_plan(rel.schema)
         rows = list(rel.tuples)[:12]
@@ -514,44 +461,22 @@ def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
             db, rel.schema, plan.out_schema, rows, ref_counter
         )
 
-        variants = {}
-        with ndarray_forced("off"):
-            variants["rows"] = _run_variant(plan, rows)
-        if db.encoded:
-            codec = db.codec
-            enc_plan = db.expansion_plan(rel.schema, encoded=True)
-            assert enc_plan.out_schema == plan.out_schema
-            enc_rows = [codec.encode_row(rel.schema, r) for r in rows]
-            enc_variants = {}
-            with ndarray_forced("off"):
-                enc_variants["encoded-rows"] = _run_variant(enc_plan, enc_rows)
-            # The ndarray frontier backend, forced onto every batch
-            # size — the same rows (including the garbage/duplicate
-            # ones and any codes interned mid-loop) must produce the
-            # identical aligned output and identical counts.
-            with ndarray_forced("on"):
-                enc_variants["encoded-ndarray"] = _run_variant(
-                    enc_plan, enc_rows
-                )
-            for variant, (counter, out) in enc_variants.items():
-                decoded = [
-                    None if r is None
-                    else codec.decode_row(enc_plan.out_schema, r)
-                    for r in out
-                ]
-                variants[variant] = (counter, decoded)
-
-        for variant, (counter, out) in variants.items():
-            assert out == ref, f"{name}: batch[{variant}] output diverges"
+        # Garbage rows intern fresh codes after the plan compiled: every
+        # backend must treat them as misses.
+        enc_rows = [codec.encode_row(rel.schema, r) for r in rows]
+        for mode in ("off", "on"):
+            counter = WorkCounter()
+            with ndarray_forced(mode):
+                out = plan.execute_batch(enc_rows, counter)
+            decoded = [
+                None if r is None else codec.decode_row(plan.out_schema, r)
+                for r in out
+            ]
+            assert decoded == ref, f"{name}: batch[ndarray {mode}] diverges"
             assert counter.tuples_touched == ref_counter.tuples_touched, (
-                f"{name}: batch[{variant}] counts "
+                f"{name}: batch[ndarray {mode}] counts "
                 f"{counter.tuples_touched} != {ref_counter.tuples_touched}"
             )
-
-
-def _run_variant(plan, rows):
-    counter = WorkCounter()
-    return counter, plan.execute_batch(rows, counter)
 
 
 def lp_engine_work_profile(query, db) -> dict[str, int | None]:
@@ -578,7 +503,7 @@ def lp_engine_work_profile(query, db) -> dict[str, int | None]:
 
 def engine_work_profile(query, db) -> dict[str, object]:
     """``tuples_touched`` (and LFTJ seeks) of every applicable engine on
-    ``db``'s active plane."""
+    ``db``."""
     profile: dict[str, object] = dict(lp_engine_work_profile(query, db))
     _, bj = binary_join_plan(query, db)
     profile["binary"] = bj.tuples_touched
@@ -591,58 +516,49 @@ def engine_work_profile(query, db) -> dict[str, object]:
     return profile
 
 
-def assert_plane_equivalence(query, db) -> None:
-    """The dictionary-encoded plane ≡ the decoded plane, bit-identically.
-
-    Encoding is a per-attribute bijection, so *every* count the engines
-    report — expansion touches, join emissions, LFTJ seeks — must be
-    identical between a codec-backed database and its codec-less rebuild,
-    and the (decoded) results must agree.  Any drift means the encoded
-    kernel changed semantics, not just speed.
+def assert_lazy_equivalence(query, db) -> None:
+    """Deferred encoding is invisible: a database built with
+    ``encode=False`` builds no twin and interns nothing until its first
+    query, then every engine reports bit-identical counts (expansion
+    touches, join emissions, LFTJ seeks) and the same results as the
+    eager ``db`` — and both equal the reference join.
     """
-    encoded_db = db if db.encoded else Database(
+    lazy = Database(
         list(db.relations.values()),
         fds=db.fds,
         udfs=list(db.udfs),
         degree_bounds=db.degree_bounds,
-        encode=True,
+        encode=False,
     )
-    decoded_db = decoded_plane_db(db)
+    assert not lazy._runtime and lazy.codec.total_values() == 0
     schema = tuple(sorted(query.variables))
-    enc_profile = engine_work_profile(query, encoded_db)
-    dec_profile = engine_work_profile(query, decoded_db)
-    assert enc_profile == dec_profile, (
-        f"encoded-vs-decoded work drift: {enc_profile} != {dec_profile}"
+    eager_profile = engine_work_profile(query, db)
+    lazy_profile = engine_work_profile(query, lazy)
+    assert eager_profile == lazy_profile, (
+        f"eager-vs-lazy work drift: {eager_profile} != {lazy_profile}"
     )
-    assert _run_csma(query, encoded_db, schema) == _run_csma(
-        query, decoded_db, schema
-    )
+    expected = _run_reference(query, db, schema)
+    assert _run_csma(query, db, schema) == expected
+    assert _run_csma(query, lazy, schema) == expected
 
 
 def assert_ndarray_backend_equivalence(query, db) -> None:
     """The ndarray frontier backend ≡ the row-loop backend, bit-identically.
 
-    Runs every engine's work profile twice on the encoded plane — once
+    Runs every engine's work profile twice — once
     with the array-of-int64 backend forced onto every batch, once with it
     forced off (the generated row-loop) — and
     asserts identical ``tuples_touched`` everywhere plus identical CSMA
     results.  Any drift means the block backend changed the measured work
     shape, not just the constant factor.
     """
-    encoded_db = db if db.encoded else Database(
-        list(db.relations.values()),
-        fds=db.fds,
-        udfs=list(db.udfs),
-        degree_bounds=db.degree_bounds,
-        encode=True,
-    )
     schema = tuple(sorted(query.variables))
     with ndarray_forced("on"):
-        on_profile = engine_work_profile(query, encoded_db)
-        on_result = _run_csma(query, encoded_db, schema)
+        on_profile = engine_work_profile(query, db)
+        on_result = _run_csma(query, db, schema)
     with ndarray_forced("off"):
-        off_profile = engine_work_profile(query, encoded_db)
-        off_result = _run_csma(query, encoded_db, schema)
+        off_profile = engine_work_profile(query, db)
+        off_result = _run_csma(query, db, schema)
     assert on_profile == off_profile, (
         f"ndarray-vs-row-loop work drift: {on_profile} != {off_profile}"
     )

@@ -12,7 +12,7 @@ def raw_getenv():
 
 
 def raw_subscript():
-    return os.environ["REPRO_ENCODE"]
+    return os.environ["REPRO_CHECK_DISTINCT"]
 
 
 def undeclared():

@@ -15,5 +15,5 @@ def registry_probe():
 
 def env_write(value):
     # Writes (tests setting knobs) are fine; only reads are disciplined.
-    os.environ["REPRO_ENCODE"] = value
-    os.environ.pop("REPRO_ENCODE", None)
+    os.environ["REPRO_CHECK_DISTINCT"] = value
+    os.environ.pop("REPRO_CHECK_DISTINCT", None)

@@ -209,9 +209,10 @@ def test_uptime_simulation_bounds_caches_and_preserves_answers(monkeypatch):
     database over new values, queries it, and detaches yesterday's.  With
     tiny plan caps and a tight dictionary cap, per-day answers must match
     a fresh single-use database bit-for-bit while the shared codec and
-    plan caches stay bounded instead of growing with uptime."""
+    plan caches stay bounded instead of growing with uptime.  The fresh
+    answer is the naive reference join's."""
     monkeypatch.setattr(database_mod, "PLAN_CACHE_MAX", 4)
-    from repro.engine.generic_join import generic_join
+    from repro.engine.reference import reference_join
     from repro.serve.faults import FaultInjector
     from repro.serve.service import QueryService, canonical_rows
     from repro.serve.workloads import demo_queries, demo_relations
@@ -227,12 +228,10 @@ def test_uptime_simulation_bounds_caches_and_preserves_answers(monkeypatch):
             )
             service.attach_database("t", f"day{day}", relations)
             result = service.execute("t", f"day{day}", triangle)
-            fresh_rel, _ = generic_join(
+            schema, rows = canonical_rows(
+                reference_join(triangle, database_mod.Database(relations)),
                 triangle,
-                database_mod.Database(relations, encode=False),
-                fd_aware=True,
             )
-            schema, rows = canonical_rows(fresh_rel, triangle)
             assert result.schema == schema
             assert result.rows == rows
             if day:

@@ -165,7 +165,6 @@ def test_retired_knob_set_in_the_environment_raises():
 
 #: What each module computed before PR 10, copied from the old readers.
 EXPECTED_DEFAULTS = {
-    "REPRO_ENCODE": True,
     "REPRO_PLAN_CACHE_MAX": 512,
     "REPRO_CHECK_DISTINCT": False,
     "REPRO_BATCH_NDARRAY": "auto",

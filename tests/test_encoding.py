@@ -18,10 +18,13 @@ Satellite coverage for the columnar encoding PR:
   under racing threads), encoded twins hold int64 code columns and build
   rows only on first read, and compaction by renumbering equals a full
   re-encode.
-* **Plane equivalence** — every engine produces identical results and
-  bit-identical ``tuples_touched`` with the codec on and off
-  (:func:`differential.assert_plane_equivalence`); the encoded batch
-  backend is pinned against per-row ``reference_expand_tuple`` through
+* **Deferred encoding** — a database built with ``encode=False`` interns
+  nothing until its first query, then every engine produces identical
+  results and bit-identical ``tuples_touched`` to an eagerly encoded one,
+  both equal to the naive reference join
+  (:func:`differential.assert_lazy_equivalence`); compaction of a
+  partially encoded database equals a full re-encode.  The batch backends
+  are pinned against per-row ``reference_expand_tuple`` through
   ``assert_batch_backend_equivalence`` (driven from
   ``test_kernel_equivalence.py`` over the shared corpus).
 """
@@ -34,15 +37,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from differential import (
-    MANDATORY_ENGINES,
     all_instances,
-    assert_plane_equivalence,
+    assert_lazy_equivalence,
+    mixed_type_midrun_instance,
     random_simple_key_workload,
 )
 from repro.engine.database import Database
 from repro.engine.dictionary import Codec, Dictionary
 from repro.engine.expansion_plan import GUARD, GUARD_DENSE, densify_lookup
 from repro.engine.ops import WorkCounter
+from repro.engine.reference import reference_expand_tuple
 from repro.engine.relation import Relation
 from repro.fds.fd import FD, FDSet
 
@@ -114,7 +118,6 @@ def test_dictionaries_shared_across_relations():
             Relation("R", ("x", "y"), [(1, "a"), (2, "b")]),
             Relation("S", ("y", "z"), [("a", 7), ("c", 8)]),
         ],
-        encode=True,
     )
     d_y = db.codec.dictionary("y")
     r_twin, s_twin = db.runtime("R"), db.runtime("S")
@@ -128,7 +131,7 @@ def test_dictionaries_shared_across_relations():
 
 def test_codes_stable_under_database_add():
     db = Database(
-        [Relation("R", ("x", "y"), [(10, 20), (11, 21)])], encode=True
+        [Relation("R", ("x", "y"), [(10, 20), (11, 21)])]
     )
     twin_before = db.runtime("R")
     snapshot = {
@@ -147,34 +150,39 @@ def test_codes_stable_under_database_add():
 
 
 def test_encoding_defaults_on_and_knob_disables():
-    assert Database([]).encoded  # REPRO_ENCODE default
-    assert not Database([], encode=False).encoded
+    """Encoding is eager by default; ``encode=False`` disables the eager
+    pass: no twin and no interned value until the first use."""
+    rel = Relation("R", ("x", "y"), [(1, "a"), (2, "b")])
+    eager = Database([rel])
+    assert eager._runtime and eager.codec.total_values() == 4
+    lazy = Database([rel], encode=False)
+    assert not lazy._runtime and lazy.codec.total_values() == 0
+    assert lazy.runtime("R").code_columns().shape == (2, 2)
+    assert lazy.codec.total_values() == 4
     with pytest.raises(ValueError):
-        Database([], encode=False).expansion_plan(("x",), encoded=True)
+        Database([], encode=False, codec=Codec())
 
 
 # ----------------------------------------------------------------------
 # The dense-domain fast path
 # ----------------------------------------------------------------------
 
-def _guarded_db(**kwargs):
+def _guarded_db():
     guard = Relation("G", ("x", "y"), [(i, i * 10) for i in range(50)])
     return Database(
         [guard, Relation("R", ("x",), [(i,) for i in range(50)])],
         fds=FDSet([FD("x", "y")]),
-        **kwargs,
     )
 
 
 def test_single_attr_dense_domain_uses_flat_table():
-    db = _guarded_db(encode=True)
-    plan = db.expansion_plan(("x",), encoded=True)
+    db = _guarded_db()
+    plan = db.expansion_plan(("x",))
     (step,) = plan.steps
     assert step[0] == GUARD_DENSE
     assert isinstance(step[2], list)
-    # The raw plan keeps the hash lookup.
-    raw_step = db.expansion_plan(("x",)).steps[0]
-    assert raw_step[0] == GUARD
+    # The relation plan keeps the (multi-image) hash lookup.
+    assert db.relation_plan(("x",)).steps[0][0] == GUARD
 
 
 def test_sparse_domain_keeps_hash_lookup():
@@ -187,45 +195,75 @@ def test_sparse_domain_keeps_hash_lookup():
 
 def test_out_of_range_code_is_a_miss():
     """A value interned *after* the dense table compiled (e.g. by
-    ``expand_tuple`` on unseen input) must dangle, exactly like the raw
-    plane's unseen-key miss."""
-    db = _guarded_db(encode=True)
-    raw = _guarded_db(encode=False)
-    counter_enc, counter_raw = WorkCounter(), WorkCounter()
+    ``expand_tuple`` on unseen input) must dangle, exactly like the
+    reference's unseen-key miss on raw values."""
+    db = _guarded_db()
+    counter_enc, counter_ref = WorkCounter(), WorkCounter()
     assert db.expand_tuple({"x": 3}, counter=counter_enc) == {"x": 3, "y": 30}
-    assert raw.expand_tuple({"x": 3}, counter=counter_raw) == {"x": 3, "y": 30}
+    assert reference_expand_tuple(
+        db, {"x": 3}, counter=counter_ref
+    ) == {"x": 3, "y": 30}
     # 999 was never interned: its fresh code exceeds the dense table.
     assert db.expand_tuple({"x": 999}, counter=counter_enc) is None
-    assert raw.expand_tuple({"x": 999}, counter=counter_raw) is None
-    assert counter_enc.tuples_touched == counter_raw.tuples_touched
+    assert reference_expand_tuple(db, {"x": 999}, counter=counter_ref) is None
+    assert counter_enc.tuples_touched == counter_ref.tuples_touched
 
 
 def test_expand_relation_public_api_stays_decoded():
-    db = _guarded_db(encode=True)
+    db = _guarded_db()
     out = db.expand_relation(db["R"])
     assert out.schema == ("x", "y")
     assert (3, 30) in set(out.tuples)
 
 
-# ----------------------------------------------------------------------
-# Plane equivalence (the encoded backend as a mandatory engine variant)
-# ----------------------------------------------------------------------
+def test_udf_consistent_interns_nothing():
+    """The value-level UDF check evaluates the UDFs on the values
+    themselves: probing with unseen values grows no dictionary."""
+    query, db = mixed_type_midrun_instance(0)
+    before = db.codec.total_values()
+    assert db.udf_consistent({"w": 1, "x": 2, "y": 3})
+    assert not db.udf_consistent({"w": 100, "x": 200, "y": 7})
+    assert db.udf_consistent({"w": 100, "x": 200})  # y not covered
+    assert db.codec.total_values() == before
 
-def test_decoded_plane_variants_are_mandatory():
-    assert {"generic-decoded-plane", "csma-decoded-plane",
-            "lftj-decoded-plane"} <= set(MANDATORY_ENGINES)
 
+# ----------------------------------------------------------------------
+# Deferred encoding (encode=False)
+# ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(6))
 def test_plane_equivalence_on_corpus(seed):
     for query, db in all_instances(seed):
-        assert_plane_equivalence(query, db)
+        assert_lazy_equivalence(query, db)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_plane_equivalence_on_simple_key_workloads(seed):
     query, db = random_simple_key_workload(seed)
-    assert_plane_equivalence(query, db)
+    assert_lazy_equivalence(query, db)
+
+
+def test_rebuild_codec_on_partially_encoded_database_equals_re_encode():
+    """Compaction encodes the twins a deferred database never built and
+    renumbers the rest: the result equals a fresh eager database's
+    dictionaries and twins, relation for relation."""
+    rels = [
+        Relation("R", ("x", "y"), [(3, "p"), (1.0, "q"), (True, "r")]),
+        Relation("S", ("y", "z"), [("q", 9), ("p", (1, 2))]),
+        Relation("T", ("z", "x"), [((1, 2), 7), (9, 3)]),
+    ]
+    lazy = Database(rels, encode=False)
+    lazy.runtime("T")  # only T is encoded, out of add order
+    lazy.codec.dictionary("y").encode("cold")  # a mid-run leftover
+    lazy.rebuild_codec()
+    eager = Database(rels)
+    assert {a: d.values for a, d in lazy.codec.dictionaries.items()} == {
+        a: d.values for a, d in eager.codec.dictionaries.items()
+    }
+    for rel in rels:
+        assert lazy.runtime(rel.name).code_columns().tolist() == (
+            eager.runtime(rel.name).code_columns().tolist()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +435,7 @@ def test_cold_fdchain_query_leaves_guard_twins_without_rows():
     from repro.engine.generic_join import generic_join
     from repro.serve.admission import certified_bound
 
-    query, db = large_fdchain_workload(10_000, encode=True)
+    query, db = large_fdchain_workload(10_000)
     certified_bound(query, db)
     out, stats = generic_join(query, db, order=fdchain_order(), fd_aware=True)
     assert len(out) and stats.tuples_touched

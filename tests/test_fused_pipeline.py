@@ -96,7 +96,7 @@ def _run_against_row_loop(plan, block):
 
 def test_dense_chain_composes_to_one_fused_spec():
     db = _chain_db(k=4)
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     assert [s[0] for s in plan.steps] == [GUARD_DENSE] * 4
     specs = plan._ndarray_specs()
     fused_specs = fused.compose_fused_specs(specs, len(plan.source_schema))
@@ -111,7 +111,7 @@ def test_dense_chain_composes_to_one_fused_spec():
 
 def test_single_dense_steps_stay_plain():
     db = _chain_db(k=1)
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     specs = plan._ndarray_specs()
     fused_specs = fused.compose_fused_specs(specs, 1)
     assert fused_specs == tuple(specs)
@@ -123,7 +123,7 @@ def test_midrun_interned_codes_dangle_through_fused_chain():
     the row dangles, and the charge is exactly one touch (step 0 saw it
     alive, step 1 never ran it) — as in the row-loop."""
     db = _chain_db(k=3)
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     x_dict = db.codec.dictionary("x")
     fresh = x_dict.encode("fresh-value")
     stored = x_dict.encode(3)
@@ -144,7 +144,7 @@ def test_inconsistent_entries_dangle_and_stop_the_survival_chain():
         Relation("G1", ("y", "z"), [(0, 5), (1, 6), (2, 7)]),
     ]
     db = Database(relations, fds=fds)
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     assert [s[0] for s in plan.steps] == [GUARD_DENSE] * 2
     specs = plan._ndarray_specs()
     fused_specs = fused.compose_fused_specs(specs, 1)
@@ -168,7 +168,7 @@ def test_inconsistent_entries_dangle_and_stop_the_survival_chain():
 @pytest.mark.parametrize("seed", range(4))
 def test_pipeline_block_bit_identity(seed):
     db = _chain_db(k=5, size=16)
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     rng = np.random.default_rng(seed)
     # Mix in out-of-range codes: they must dangle at the first step.
     block = rng.integers(0, 24, size=(64, 1), dtype=np.int64)
@@ -195,7 +195,6 @@ def test_lone_dense_step_with_holes_matches_row_loop():
         ("a", "b"),
         ("a", "b", "x", "y"),
         ((GUARD_DENSE, (0,), table),),
-        encoded=True,
     )
     rng = np.random.default_rng(3)
     block = rng.integers(0, 80, size=(200, 2), dtype=np.int64)
@@ -222,7 +221,7 @@ def test_generic_join_fused_segment_matches_per_depth():
     """The determined-run segment plan (one pipeline across all fd
     depths) must be invisible: same rows, same per-depth stats, same
     counter total as the row path's per-depth execution."""
-    query, db = large_fdchain_workload(4000, encode=True)
+    query, db = large_fdchain_workload(4000)
     order = fdchain_order()
 
     def run(mode):
@@ -247,7 +246,7 @@ def test_generic_join_fused_segment_matches_per_depth():
 
 def test_profile_snapshot_accumulates_and_resets():
     db = _chain_db(k=3)
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     saved = fused.PROFILE_STEPS
     try:
         fused.PROFILE_STEPS = True

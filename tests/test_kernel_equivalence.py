@@ -214,8 +214,9 @@ def test_leapfrog_substrate_equivalence(seed):
 
 
 def test_batched_backend_mixed_types_falls_back():
-    """A key column mixing ints and strings runs through the row-loop
-    ``execute_batch`` and still matches the per-tuple executor."""
+    """A key column mixing ints and strings (encoded to codes on entry)
+    runs through the row-loop ``execute_batch`` and still matches the
+    per-tuple executor."""
     guard = Relation(
         "G", ("x", "y"), [(1, 10), ("a", 20), (2, 30), ("b", 40)]
     )
@@ -224,7 +225,10 @@ def test_batched_backend_mixed_types_falls_back():
         fds=FDSet([FD("x", "y")]),
     )
     plan = db.expansion_plan(("x",))
-    rows = [(1,), ("a",), (99,), ("b",), (2,)] * 40
+    rows = [
+        db.codec.encode_row(("x",), row)
+        for row in [(1,), ("a",), (99,), ("b",), (2,)] * 40
+    ]
     c_batch = WorkCounter()
     batch = plan.execute_batch(rows, c_batch)
     c_tuple = WorkCounter()

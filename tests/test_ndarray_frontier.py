@@ -16,7 +16,7 @@ Satellite coverage for the ndarray-frontier PR:
   no ``IndexError``, no silent join, reference-identical counts.
 * **Cross-type values** — ``==``-equal values of different types share a
   code and decode to the pinned first-seen representative; engines agree
-  across planes on the mixed-type corpus.
+  with the value-level reference join on the mixed-type corpus.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from differential import (
     ENGINES,
     MANDATORY_ENGINES,
     assert_engines_agree,
+    assert_lazy_equivalence,
     assert_ndarray_backend_equivalence,
-    assert_plane_equivalence,
-    decoded_plane_db,
     mixed_type_midrun_instance,
     ndarray_forced,
     random_simple_key_workload,
@@ -42,7 +41,7 @@ from repro.engine.database import Database
 from repro.engine.expansion_plan import GUARD, GUARD_DENSE
 from repro.engine.generic_join import generic_join
 from repro.engine.ops import WorkCounter
-from repro.engine.reference import reference_expand_tuple
+from repro.engine.reference import reference_expand_tuple, reference_join
 from repro.engine.relation import Relation
 from repro.fds.fd import FD, FDSet
 from repro.fds.udf import UDF
@@ -175,7 +174,7 @@ def test_midrun_interned_code_dangles_on_every_backend():
     table length; every backend must treat it as dangling — raising
     ``IndexError`` or silently joining onto a wrong image both fail."""
     db = _dense_guard_db()
-    plan = db.expansion_plan(("y",), encoded=True)
+    plan = db.expansion_plan(("y",))
     assert plan.steps[0][0] == GUARD_DENSE
     table_size = len(plan.steps[0][2])
     y_dict = db.codec.dictionary("y")
@@ -207,7 +206,7 @@ def test_midrun_interned_code_misses_sparse_guard_on_every_backend():
         "G", ("a", "b", "c"), [(i, i % 3, i + 100) for i in range(12)]
     )
     db = Database([guard], fds=fds)
-    plan = db.expansion_plan(("a", "b"), encoded=True)
+    plan = db.expansion_plan(("a", "b"))
     assert plan.steps[0][0] == GUARD
     a_dict, b_dict = db.codec.dictionary("a"), db.codec.dictionary("b")
     fresh_a = a_dict.encode("fresh-a")
@@ -234,7 +233,7 @@ def test_fd_inconsistent_dense_entries_dangle_on_every_backend():
         "T", ("y", "z"), [(0, 1), (0, 2), (1, 5)]  # y=0 violates y→z
     )
     db = Database([guard], fds=fds)
-    plan = db.expansion_plan(("y",), encoded=True)
+    plan = db.expansion_plan(("y",))
     codec = db.codec
     rows = [(codec.dictionary("y").encode(0),),
             (codec.dictionary("y").encode(1),)]
@@ -265,18 +264,17 @@ def test_cross_type_codes_collapse_and_decode_first_seen():
 def test_mixed_type_instances_agree_across_planes(seed):
     query, db = mixed_type_midrun_instance(seed)
     assert_engines_agree(query, db, context=f"mixed seed={seed}")
-    assert_plane_equivalence(query, db)
+    assert_lazy_equivalence(query, db)
 
 
 def test_mixed_type_terminal_decode_is_the_interned_representative():
-    """Encoded-plane terminal outputs surface the codec's first-seen
-    representative — deterministic, and ``==``-equal to the decoded
-    plane's output (the documented semantics, not canonicalization)."""
+    """Engine outputs surface the codec's first-seen representative —
+    deterministic, and ``==``-equal to the value-level reference join's
+    output (the documented semantics, not canonicalization)."""
     query, db = mixed_type_midrun_instance(3)
     schema = tuple(sorted(query.variables))
     encoded_out = ENGINES["csma"](query, db, schema)
-    decoded_out = ENGINES["csma"](query, decoded_plane_db(db), schema)
-    assert encoded_out == decoded_out
+    assert encoded_out == ENGINES["reference"](query, db, schema)
     dicts = {a: db.codec.dictionary(a) for a in schema}
     for row in encoded_out:
         for attr, value in zip(schema, row):
@@ -336,6 +334,9 @@ def test_generic_join_block_frontier_matches_list_path(instance):
 # ----------------------------------------------------------------------
 
 def test_expand_rows_relation_seeds_columns_on_block_path():
+    """The block path materializes a code relation whose store is its own
+    C-contiguous ``(width, n)`` array — rows equal to the row path's, and
+    the next join step reads the array back as a block view, no copy."""
     fds = FDSet([FD("y", "z")], ["x", "y", "z"])
     guard = Relation("T", ("y", "z"), [(i, i * 3) for i in range(64)])
     db = Database([guard], fds=fds)
@@ -347,19 +348,31 @@ def test_expand_rows_relation_seeds_columns_on_block_path():
     with ndarray_forced("on"):
         rel_block = db.expand_rows_relation(
             "T(join)", rows, ("x", "y"), frozenset("xyz"), ("x", "y", "z"),
-            encoded=True,
         )
     with ndarray_forced("off"):
         rel_rows = db.expand_rows_relation(
             "T(join)", rows, ("x", "y"), frozenset("xyz"), ("x", "y", "z"),
-            encoded=True,
         )
+    codes = rel_block.code_columns()
+    assert codes.shape == (3, 200) and codes.flags.c_contiguous
     assert rel_block.tuples == rel_rows.tuples
-    assert rel_block.cached_columns() is not None
     assert rel_block.columns_all_int() == (True, True, True)
-    assert rel_block.columns() == tuple(
-        tuple(row[j] for row in rel_block.tuples) for j in range(3)
+    block = frontier.columns_to_block(rel_block.column_store(), len(rel_block))
+    assert np.shares_memory(block, codes)
+
+
+def test_expand_block_relation_never_freezes_the_callers_block():
+    """A step-less expansion with the identity reorder still hands
+    ``from_codes`` a fresh array: the caller's block stays writeable and
+    unshared."""
+    db = Database([Relation("T", ("y", "z"), [(1, 2)])])
+    block = np.arange(12, dtype=np.int64).reshape(6, 2)
+    rel = db.expand_block_relation(
+        "T(out)", block, ("y", "z"), frozenset("yz"), ("y", "z")
     )
+    assert block.flags.writeable
+    assert not np.shares_memory(block, rel.code_columns())
+    assert rel.tuples == tuple(map(tuple, block.tolist()))
 
 
 def test_dangling_rows_probe_later_guards_safely():
@@ -376,7 +389,7 @@ def test_dangling_rows_probe_later_guards_safely():
         fds=fds,
         udfs=[UDF("u", ("a",), "b", lambda a: a * 2)],
     )
-    plan = db.expansion_plan(("x",), encoded=True)
+    plan = db.expansion_plan(("x",))
     assert [step[0] for step in plan.steps] == [GUARD_DENSE, 1, GUARD_DENSE]
     x_dict = db.codec.dictionary("x")
     rows = [(x_dict.encode(3),), (x_dict.encode("dangling"),),
@@ -387,12 +400,25 @@ def test_dangling_rows_probe_later_guards_safely():
         )
 
 
+def _lftj_both_substrates(query, db):
+    """LFTJ on both substrates, each checked against the reference join:
+    the compiled one over code tries, the reference one over the value
+    tries (``_sort_key`` order)."""
+    from repro.engine.leapfrog import leapfrog_triejoin
+
+    expected = set(reference_join(query, db).project(query.variables).tuples)
+    for expansion in ("plan", "reference"):
+        out, _ = leapfrog_triejoin(query, db, expansion=expansion)
+        assert set(out.tuples) == expected, expansion
+    return expected
+
+
 def test_decoded_lftj_joins_decimal_against_int():
     """``==``-equal numerics of *any* stdlib numeric type must meet in
-    the decoded trie order — Decimal('1') joins 1 like 1.0 does."""
+    the value trie order — Decimal('1') joins 1 like 1.0 does — and share
+    one code in the encoded tries."""
     from decimal import Decimal
 
-    from repro.engine.leapfrog import leapfrog_triejoin
     from repro.query.query import Atom, Query
 
     query = Query([Atom("R", ("x", "y")), Atom("S", ("y", "z"))])
@@ -401,19 +427,17 @@ def test_decoded_lftj_joins_decimal_against_int():
             Relation("R", ("x", "y"), [(0, Decimal(1)), (1, 2)]),
             Relation("S", ("y", "z"), [(1, 7), (Decimal(2), 8)]),
         ],
-        encode=False,
     )
-    out, _ = leapfrog_triejoin(query, db)
-    assert {tuple(map(int, t)) for t in out.tuples} == {(0, 1, 7), (1, 2, 8)}
+    out = _lftj_both_substrates(query, db)
+    assert {tuple(map(int, t)) for t in out} == {(0, 1, 7), (1, 2, 8)}
 
 
 def test_decoded_lftj_joins_cross_type_infinities():
     """``float('inf') == Decimal('Infinity')`` (and they share a hash),
-    so the two must meet in the decoded trie order like any ``==``-equal
-    pair."""
+    so the two must meet in the value trie order like any ``==``-equal
+    pair, and share one code in the encoded tries."""
     from decimal import Decimal
 
-    from repro.engine.leapfrog import leapfrog_triejoin
     from repro.query.query import Atom, Query
 
     query = Query([Atom("R", ("x", "y")), Atom("S", ("y", "z"))])
@@ -422,10 +446,9 @@ def test_decoded_lftj_joins_cross_type_infinities():
             Relation("R", ("x", "y"), [(1, float("inf"))]),
             Relation("S", ("y", "z"), [(Decimal("Infinity"), 2)]),
         ],
-        encode=False,
     )
-    out, _ = leapfrog_triejoin(query, db)
-    assert len(out.tuples) == 1 and out.tuples[0][0] == 1
+    out = _lftj_both_substrates(query, db)
+    assert len(out) == 1 and next(iter(out))[0] == 1
 
 
 def test_from_columns_refuses_desynced_store_on_dedup():
@@ -454,7 +477,7 @@ def test_udf_steps_decode_only_masked_in_rows():
     db = Database(
         [guard], fds=fds, udfs=[UDF("p", ("b",), "c", probe)]
     )
-    plan = db.expansion_plan(("a",), encoded=True)
+    plan = db.expansion_plan(("a",))
     tags = [step[0] for step in plan.steps]
     assert tags[0] in (GUARD, GUARD_DENSE) and tags[-1] == 1  # UDF last
     a_dict = db.codec.dictionary("a")

@@ -11,7 +11,7 @@ one from its naive reference formulation.
 import pytest
 
 from repro.engine.database import Database, ExpansionError
-from repro.engine.expansion_plan import GUARD, UDF as UDF_STEP
+from repro.engine.expansion_plan import GUARD, GUARD_DENSE, UDF as UDF_STEP
 from repro.engine.relation import Relation
 from repro.fds.fd import FD, FDSet
 from repro.fds.udf import UDF
@@ -26,18 +26,20 @@ def _chain_db():
 
 def test_fd_application_order_pinned_for_both_variants():
     """Applicability, not FDSet registration order, sequences the steps:
-    from {a} only a→b applies, then b→c — for both plan variants."""
+    from {a} only a→b applies, then b→c — for both plan variants (the
+    tuple plan's single-key guards flatten to dense code tables)."""
     db = _chain_db()
     tuple_plan = db.expansion_plan(("a",))
     relation_plan = db.relation_plan(("a",))
-    for plan in (tuple_plan, relation_plan):
+    for plan, tag in ((tuple_plan, GUARD_DENSE), (relation_plan, GUARD)):
         assert plan.out_schema == ("a", "b", "c")
-        assert [tag for tag, _, _ in plan.steps] == [GUARD, GUARD]
+        assert [step[0] for step in plan.steps] == [tag, tag]
         # First step keys on position 0 (a), second on position 1 (b).
         assert plan.steps[0][1] == (0,)
         assert plan.steps[1][1] == (1,)
-    assert tuple_plan.execute((1,)) == (1, 10, 100)
-    assert relation_plan.execute_all([(1,)]) == [(1, 10, 100)]
+    assert db.expand_tuple({"a": 1}) == {"a": 1, "b": 10, "c": 100}
+    one = Relation("Q", ("a",), [(1,)])
+    assert db.expand_relation(one).tuples == ((1, 10, 100),)
 
 
 def test_fdset_order_breaks_ties_identically():
@@ -68,7 +70,8 @@ def test_udf_resolution_scope_differs_by_design():
     plan = db.relation_plan(("a",))
     assert plan.out_schema == ("a", "c", "d")
     assert [tag for tag, _, _ in plan.steps] == [UDF_STEP, UDF_STEP]
-    assert plan.execute_all([(1,)]) == [(1, 2, 20)]
+    one = Relation("Q", ("a",), [(1,)])
+    assert db.expand_relation(one).tuples == ((1, 2, 20),)
     with pytest.raises(ExpansionError):
         db.expansion_plan(("a",))
 
@@ -79,5 +82,5 @@ def test_partial_target_stops_early_only_for_tuple_plans():
     db = _chain_db()
     partial = db.expansion_plan(("a",), target=frozenset(("a", "b")))
     assert partial.out_schema == ("a", "b")
-    assert [tag for tag, _, _ in partial.steps] == [GUARD]
+    assert [tag for tag, _, _ in partial.steps] == [GUARD_DENSE]
     assert db.relation_plan(("a",)).out_schema == ("a", "b", "c")

@@ -130,11 +130,9 @@ def test_repeated_read_compiles_nothing(counts):
         assert not any(counts.values()), counts
 
 
-def _guarded_db(**kwargs) -> Database:
+def _guarded_db() -> Database:
     return Database(
-        demo_relations(seed=3, n_edges=24),
-        fds=FDSet([FD("y", "z")], "xyz"),
-        **kwargs,
+        demo_relations(seed=3, n_edges=24), fds=FDSet([FD("y", "z")], "xyz")
     )
 
 
@@ -248,21 +246,19 @@ def test_query_fd_added_after_a_read_is_not_served_stale():
     assert after.n < before.n
 
 
-def _databases(shape: str, encode: bool) -> Database:
+def _databases(shape: str) -> Database:
     if shape == "udf_expand":
         return Database(
-            [demo_relations(seed=3, n_edges=24)[0]],
-            udfs=demo_udfs(),
-            encode=encode,
+            [demo_relations(seed=3, n_edges=24)[0]], udfs=demo_udfs()
         )
-    return _guarded_db(encode=encode)
+    return _guarded_db()
 
 
 @pytest.mark.parametrize("engine,shape", READS)
 def test_cold_and_warm_reads_agree_on_every_stage(engine, shape):
     query = QUERIES[shape]
     for label, mode in DEGRADATION_STAGES:
-        db = _databases(shape, encode=label != "decoded-reference")
+        db = _databases(shape)
         runs = []
         for _ in range(2):  # cold memo, then warm
             override = frontier.mode_override(mode) if mode else nullcontext()

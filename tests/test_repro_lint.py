@@ -53,7 +53,7 @@ def test_knob_discipline_message_kinds():
     messages = "\n".join(f.message for f in findings)
     assert "raw environment read of REPRO_BATCH_NDARRAY_MIN;" in messages
     assert "raw environment read of REPRO_BATCH_NDARRAY;" in messages
-    assert "raw environment read of REPRO_ENCODE" in messages
+    assert "raw environment read of REPRO_CHECK_DISTINCT" in messages
     assert "undeclared knob REPRO_NO_SUCH_KNOB" in messages
     assert "retired knob REPRO_ADMIT_EXACT_MAX" in messages
 

@@ -23,6 +23,7 @@ from repro.engine.database import Database
 from repro.engine.dictionary import Codec
 from repro.engine.generic_join import generic_join
 from repro.engine.leapfrog import leapfrog_triejoin
+from repro.engine.reference import reference_join
 from repro.engine.relation import Relation
 from repro.errors import (
     AdmissionRejected,
@@ -54,8 +55,8 @@ def quiet() -> FaultInjector:
     return FaultInjector(seed=0)
 
 
-def triangle_db(encode=True, n=16):
-    return Database(demo_relations(seed=7, n_edges=n), encode=encode)
+def triangle_db(n=16):
+    return Database(demo_relations(seed=7, n_edges=n))
 
 
 TRIANGLE = demo_queries()["triangle"]
@@ -275,9 +276,9 @@ def test_overload_is_typed_and_retryable_after_drain():
 # Graceful degradation
 # ----------------------------------------------------------------------
 def expected_rows(query=TRIANGLE, n=48):
-    db = Database(demo_relations(seed=0, n_edges=n), encode=False)
-    rel, _ = generic_join(query, db, fd_aware=True)
-    return canonical_rows(rel, query)[1]
+    """The canonical rows of the naive value-level reference join."""
+    db = Database(demo_relations(seed=0, n_edges=n))
+    return canonical_rows(reference_join(query, db), query)[1]
 
 
 @pytest.mark.parametrize("times", range(1, len(DEGRADATION_STAGES)))
@@ -322,25 +323,33 @@ def test_allocation_fault_classified_and_absorbed():
     assert result.rows == expected_rows()
 
 
-def test_poisoned_codec_entry_degrades_to_decoded_reference():
-    service = build_demo_service(tenants=1, faults=quiet())
+def test_poisoned_codec_entry_ends_in_typed_engine_fault():
+    # A cap of one value compacts after every query.
+    service = build_demo_service(tenants=1, faults=quiet(), dictionary_cap=1)
     with service:
         tenant = service.tenant("tenant0")
-        # Poison a value that appears in the result set: the encoded
-        # stages die at the decode boundary, the decoded reference stage
-        # bypasses the codec and still answers correctly.
+        # Poison a value that appears in the result set: both stages die
+        # at the decode boundary, so the query ends in a typed fault that
+        # carries each stage's failure — never in a wrong answer.
         rows = expected_rows()
         assert rows, "demo workload must have results"
         victim = rows[0][0]
         code = tenant.codec.dictionaries["x"].values.index(victim)
         poison_codec(tenant.codec, "x", code)
+        with pytest.raises(EngineFault) as excinfo:
+            service.execute("tenant0", "main", TRIANGLE, engine="generic")
+        err = excinfo.value
+        assert err.stage == "exhausted"
+        assert [c["backend"] for c in err.extra["absorbed"]] == [
+            label for label, _ in DEGRADATION_STAGES
+        ]
+        assert all(c["type"] == "EngineFault" for c in err.extra["absorbed"])
+        # The compaction after the failed query rebuilt the codec from the
+        # stored value rows: the poison is gone and the query answers.
+        assert tenant.compactions == 1
         result = service.execute("tenant0", "main", TRIANGLE, engine="generic")
-        assert result.backend == "decoded-reference"
-        assert result.degraded
+        assert not result.degraded
         assert result.rows == rows
-        assert all(
-            ctx["type"] == "EngineFault" for ctx in result.faults_absorbed
-        )
 
 
 def test_worker_site_fault_degrades_nothing_but_is_typed():
@@ -436,9 +445,7 @@ def test_shared_codec_concurrent_queries_match_serial_work():
     rels_b = demo_relations(seed=4, n_edges=40, value_base=50)  # overlap
     serial = []
     for rels in (rels_a, rels_b):
-        out, stats = generic_join(
-            TRIANGLE, Database(rels, encode=True), fd_aware=True
-        )
+        out, stats = generic_join(TRIANGLE, Database(rels), fd_aware=True)
         serial.append((set(out.tuples), stats.tuples_touched))
 
     shared = Codec()

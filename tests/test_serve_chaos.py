@@ -242,7 +242,6 @@ def test_expired_deadline_stops_the_block_executor():
         ("a", "b"),
         ("a", "b", "x"),
         ((GUARD, (0,), {(i,): (i % 5,) for i in range(64)}),),
-        encoded=True,
     )
     rng = np.random.default_rng(17)
     block = rng.integers(0, 64, size=(4096, 2)).astype(np.int64)
