@@ -37,6 +37,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from differential import (
+    ENGINES,
+    MANDATORY_ENGINES,
     all_instances,
     assert_lazy_equivalence,
     mixed_type_midrun_instance,
@@ -225,6 +227,24 @@ def test_udf_consistent_interns_nothing():
     assert not db.udf_consistent({"w": 100, "x": 200, "y": 7})
     assert db.udf_consistent({"w": 100, "x": 200})  # y not covered
     assert db.codec.total_values() == before
+
+
+def test_decoded_plane_variants_are_mandatory():
+    """Every engine runs on codes, so the one check they cannot all share
+    a bug with is a mandatory oracle on decoded values: the ``reference``
+    engine joins the raw relations and never touches the codec — on a
+    deferred-encoding database it interns nothing and builds no twin,
+    yet answers what the encoded engines answer."""
+    assert "reference" in MANDATORY_ENGINES
+    query, db = random_simple_key_workload(0)
+    lazy = Database(
+        list(db.relations.values()), fds=db.fds, udfs=list(db.udfs),
+        encode=False,
+    )
+    schema = tuple(sorted(query.variables))
+    decoded = ENGINES["reference"](query, lazy, schema)
+    assert lazy.codec.total_values() == 0 and not lazy._runtime
+    assert decoded == ENGINES["generic"](query, db, schema)
 
 
 # ----------------------------------------------------------------------
