@@ -5,14 +5,13 @@ E16 gates the paper's *shapes* (growth exponents, bit-identical
 ≥1M-row frontiers of nested composite keys
 (``repro.datagen.large.composite``), which the engines probe as small
 int codes, flat dense tables or whole int64 columns.  Each workload runs
-twice on identical data — with the ndarray frontier backend forced *off*
-(the generated row-loop kernel), and as shipped (the array-of-int64
-frontier engages per ``REPRO_BATCH_NDARRAY``, ``auto`` by default, and
-runs the fused block executor) — and must satisfy **backend
-equivalence**: identical result sets and bit-identical
-``tuples_touched`` across both runs (the block backend charges the
-row-loop's exact counts; any drift is a kernel bug, asserted here *and*
-in ``tests/test_ndarray_frontier.py``).  Counts and digests are gated
+twice on identical data — with the block executor off (the generated
+row-loop kernel), and as shipped (frontier size picks the executor:
+blocks through the fused pipeline from ``frontier.NDARRAY_MIN_ROWS``
+rows) — and must satisfy **backend equivalence**: identical result sets
+and bit-identical ``tuples_touched`` across both runs (the block backend
+charges the row-loop's exact counts; any drift is a kernel bug, asserted
+here *and* in ``tests/test_ndarray_frontier.py``).  Counts and digests are gated
 against the committed trajectory by ``check_regression.py``; walls are
 recorded, never gated.
 
@@ -62,7 +61,6 @@ from repro.datagen.large import (
     large_sma_workload,
 )
 from repro.engine import frontier as frontier_blocks
-from repro.engine import fused as frontier_fused
 from repro.engine.generic_join import generic_join
 from repro.engine.leapfrog import leapfrog_triejoin
 from repro.lattice.builders import lattice_from_query
@@ -70,11 +68,10 @@ from repro.lattice.chains import best_chain_bound
 from repro.lp.cllp import DegreeConstraint
 
 #: The two execution configurations every workload runs.  ``encoded``
-#: is the shipped kernel (ndarray frontier per REPRO_BATCH_NDARRAY, auto
-#: by default — engaged at every E17 size, through the fused block
-#: executor); ``encoded-ndoff`` pins the block backend off (the
-#: generated row-loop kernel) so the sweep itself certifies
-#: block-vs-row-loop count equality at scale.
+#: is the shipped kernel (frontier size picks the executor — blocks at
+#: every E17 size, through the fused pipeline); ``encoded-ndoff`` runs
+#: the row-loop only (``frontier.min_rows_override(None)``) so the sweep
+#: itself certifies block-vs-row-loop count equality at scale.
 PLANES = ("encoded-ndoff", "encoded")
 
 #: Smoke sizes run in CI (seconds); full sizes are the ≥1M-row frontiers
@@ -202,21 +199,18 @@ def run_one(name: str, n: int, plane: str) -> dict:
     """One (workload, size, plane) run in *this* process.
 
     ``plane`` is one of :data:`PLANES`: ``encoded-ndoff`` runs the
-    kernel with the ndarray frontier backend pinned off, ``encoded``
-    runs the shipped configuration
-    (``REPRO_BATCH_NDARRAY`` env respected, ``auto`` by default).  Each
-    run times the query
-    twice: the cold first query (lazy plan/pipeline/index compilation —
+    kernel on the row-loop only, ``encoded`` runs the shipped
+    configuration (frontier size picks the executor).  Each run times
+    the query twice: the cold first query (lazy plan/pipeline/index compilation —
     recorded as ``first_query_s``) and a warm second run, whose wall is
     ``wall_s`` — the steady-state cost.  Returns the measurement plus a
     digest of the (value) result set, so
     isolated runs can be compared across processes.
     """
-    saved_mode = frontier_blocks.NDARRAY_MODE
+    min_rows = frontier_blocks.NDARRAY_MIN_ROWS
     if plane == "encoded-ndoff":
-        frontier_blocks.NDARRAY_MODE = "off"
-    profiled = frontier_fused.PROFILE_STEPS
-    try:
+        min_rows = None  # the row-loop only
+    with frontier_blocks.min_rows_override(min_rows):
         prepare = RUNNERS[name]
         gc.collect()
         start = time.perf_counter()
@@ -237,17 +231,10 @@ def run_one(name: str, n: int, plane: str) -> dict:
         first_query = time.perf_counter() - start
         del out
         gc.collect()
-        if profiled:
-            frontier_fused.profile_snapshot()  # reset before the timed run
         start = time.perf_counter()
         out, touched = execute()
         wall = time.perf_counter() - start
-    finally:
-        # Restore for in-process callers (run_workload(isolate=False)):
-        # leaking "off" into the subsequent "encoded" run would silently
-        # measure the row-loop kernel twice.
-        frontier_blocks.NDARRAY_MODE = saved_mode
-    record = {
+    return {
         "ingest_s": round(ingest, 4),
         "first_query_s": round(first_query, 4),
         "wall_s": round(wall, 4),
@@ -256,11 +243,6 @@ def run_one(name: str, n: int, plane: str) -> dict:
         "digest": result_digest(out),
         "peak_rss_kb": peak_rss_kb(),
     }
-    if profiled:
-        # REPRO_PROFILE_STEPS=1: per-spec-kind calls/rows/wall during the
-        # timed run, so a fusion win is attributable per step kind.
-        record["step_profile"] = frontier_fused.profile_snapshot()
-    return record
 
 
 def _run_isolated(name: str, n: int, plane: str) -> dict:
@@ -334,8 +316,8 @@ def run_workload(
     record["output_rows"] = enc["output_rows"]
     # The cross-process/cross-config drift gate for check_regression:
     # the digest is order-independent and identical across both
-    # configurations (just asserted), so REPRO_BATCH_NDARRAY=on and =off
-    # sweeps of the same tree must record the same value per workload.
+    # configurations (just asserted), so every sweep of the same tree
+    # must record the same value per workload.
     record["digest"] = enc["digest"]
     record["ndarray_speedup"] = round(
         record["wall_encoded_ndoff_s"] / max(record["wall_encoded_s"], 1e-9),

@@ -3,15 +3,10 @@
 Compares a freshly-produced ``BENCH_<tag>.json`` against the committed
 trajectory baseline::
 
-    python benchmarks/check_regression.py [--strict-e17] FRESH.json [BASELINE.json]
+    python benchmarks/check_regression.py FRESH.json [BASELINE.json]
 
 Baseline defaults to the newest committed ``BENCH_PR*.json`` in the repo
-root.  ``--strict-e17`` additionally requires the two files to cover the
-*identical* E17 workload set — the mode CI uses to pin two fresh sweeps
-against each other (ndarray frontier backend forced on vs forced off:
-any ``tuples_touched`` or result-digest drift between configurations
-fails the gate, and a silently missing workload cannot hide it).
-Policy (mirrors PERFORMANCE.md):
+root.  Policy (mirrors PERFORMANCE.md):
 
 * **fail** when a measured E16 growth exponent drifts from the baseline by
   more than ``EXPONENT_TOLERANCE`` — the exponents are the paper's claims
@@ -25,9 +20,8 @@ Policy (mirrors PERFORMANCE.md):
   smoke sizes);
 * **fail** when an E17 workload's result-set ``digest`` drifts, when
   both files record one (they do since PR7) — the digest is
-  order-independent over the result values, so the REPRO_BATCH_NDARRAY
-  on/off cross gate pins the *answers*, not just the counts; in
-  ``--strict-e17`` mode a missing digest on either side also fails;
+  order-independent over the result values, so the gate pins the
+  *answers*, not just the counts;
 * **warn** (never fail) when the E16 sweep wall-clock or an E17
   workload's encoded wall-clock regressed beyond ``WALL_CLOCK_SLACK`` —
   timing noise on shared CI runners is not a correctness signal, but
@@ -86,9 +80,7 @@ def host_note(baseline: dict, fresh: dict) -> str:
     )
 
 
-def compare(
-    baseline: dict, fresh: dict, strict_e17: bool = False
-) -> tuple[list[str], list[str]]:
+def compare(baseline: dict, fresh: dict) -> tuple[list[str], list[str]]:
     """Returns (failures, warnings)."""
     failures: list[str] = []
     warnings: list[str] = []
@@ -138,7 +130,7 @@ def compare(
 
     _compare_e17(
         baseline.get("e17", {}), fresh.get("e17", {}), failures, warnings,
-        strict=strict_e17, note=note,
+        note=note,
     )
     _compare_serve(baseline.get("serve"), fresh.get("serve"), warnings)
     return failures, warnings
@@ -196,7 +188,6 @@ def _compare_e17(
     fresh_e17: dict,
     failures: list[str],
     warnings: list[str],
-    strict: bool = False,
     note: str = "",
 ) -> None:
     """The large-frontier gate: counts fail, timings warn.
@@ -204,22 +195,14 @@ def _compare_e17(
     Workloads are compared over the intersection of the two files — a
     smoke sweep legitimately lacks the full-size entries — but a baseline
     with an ``e17`` section and a fresh sweep sharing *none* of its
-    workloads is a failure (the suite silently vanished).  ``strict``
-    (the ndarray on-vs-off CI cross gate) demands identical workload
-    sets instead.  ``note`` (from :func:`host_note`) is appended to every
+    workloads is a failure (the suite silently vanished).  ``note``
+    (from :func:`host_note`) is appended to every
     timing warning when the two trajectories come from hosts with
     differing CPU counts.
     """
     base_workloads = base_e17.get("workloads", {})
     fresh_workloads = fresh_e17.get("workloads", {})
-    if strict and set(base_workloads) != set(fresh_workloads):
-        failures.append(
-            "strict E17 comparison: workload sets differ "
-            f"({sorted(set(base_workloads) ^ set(fresh_workloads))})"
-        )
     if not base_workloads:
-        if strict:
-            failures.append("strict E17 comparison: baseline has no workloads")
         return
     common = set(base_workloads) & set(fresh_workloads)
     if not common:
@@ -236,8 +219,7 @@ def _compare_e17(
             )
         # Result-set digests (recorded since PR7; older baselines lack
         # them and are skipped).  The digest is order-independent over
-        # the result values, so two sweeps of the same tree — in particular
-        # the REPRO_BATCH_NDARRAY=on vs =off CI cross gate — must agree
+        # the result values, so two sweeps of the same tree must agree
         # exactly; a drift is a wrong *answer*, worse than a wrong count.
         base_digest = base_row.get("digest")
         fresh_digest = fresh_row.get("digest")
@@ -245,11 +227,6 @@ def _compare_e17(
             failures.append(
                 f"E17 result digest drift at {name}: baseline "
                 f"{base_digest} vs fresh {fresh_digest}"
-            )
-        elif strict and not (base_digest and fresh_digest):
-            failures.append(
-                f"strict E17 comparison: digest missing at {name} "
-                f"(baseline: {bool(base_digest)}, fresh: {bool(fresh_digest)})"
             )
         base_enc = base_row.get("wall_encoded_s")
         fresh_enc = fresh_row.get("wall_encoded_s")
@@ -262,9 +239,6 @@ def _compare_e17(
 
 def main(argv: list[str]) -> int:
     args = list(argv[1:])
-    strict_e17 = "--strict-e17" in args
-    if strict_e17:
-        args.remove("--strict-e17")
     if len(args) < 1 or len(args) > 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -281,7 +255,7 @@ def main(argv: list[str]) -> int:
     print(f"baseline: {baseline_path.name} (tag {baseline.get('tag')})")
     print(f"fresh:    {fresh_path} (tag {fresh.get('tag')})")
 
-    failures, warnings = compare(baseline, fresh, strict_e17=strict_e17)
+    failures, warnings = compare(baseline, fresh)
     for warning in warnings:
         print(f"WARNING: {warning}")
     for failure in failures:

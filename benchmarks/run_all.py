@@ -22,7 +22,7 @@ generations honestly:
   the sweep wall-clock (which refactors should shrink);
 * ``e17`` — the large-frontier suite (``bench_e17_large_frontier``):
   per-workload ``tuples_touched`` and result digests (bit-identical
-  with the ndarray frontier backend on and off, asserted in-run), both
+  as shipped and on the row-loop only, asserted in-run), both
   configurations' wall-clock, the ndarray speedups and peak RSS.
   ``--quick`` runs the smoke sizes only; the full ≥1M-row sweep runs
   otherwise;
@@ -166,13 +166,6 @@ def main() -> int:
         help="skip the per-file pytest runs; emit the E16 metrics and the "
         "E17 smoke sizes only",
     )
-    parser.add_argument(
-        "--e17-only",
-        action="store_true",
-        help="emit only the E17 section at smoke sizes (the CI "
-        "ndarray-on/off cross gate compares two such files with "
-        "check_regression.py --strict-e17)",
-    )
     args = parser.parse_args()
 
     import os
@@ -186,33 +179,31 @@ def main() -> int:
         # trajectories taken on differently-provisioned machines.
         "host": {"cpu_count": os.cpu_count() or 1},
     }
-    if not args.quick and not args.e17_only:
+    if not args.quick:
         print("bench suite:")
         payload["benches"] = run_bench_files()
-    if not args.e17_only:
-        print("e16 sweep:")
-        payload["e16"] = run_e16_sweep()
-        print(
-            f"  wall {payload['e16']['wall_clock_s']}s, exponents "
-            f"{payload['e16']['exponents']}"
-        )
+    print("e16 sweep:")
+    payload["e16"] = run_e16_sweep()
+    print(
+        f"  wall {payload['e16']['wall_clock_s']}s, exponents "
+        f"{payload['e16']['exponents']}"
+    )
     from bench_e17_large_frontier import peak_rss_kb, run_sweep as run_e17_sweep
 
-    level = "smoke" if args.quick or args.e17_only else "full"
+    level = "smoke" if args.quick else "full"
     print(f"e17 sweep ({level}):")
     payload["e17"] = run_e17_sweep(level=level)
-    if not args.e17_only:
-        from bench_pr6_serve import run_serve_bench
+    from bench_pr6_serve import run_serve_bench
 
-        print(f"serve bench ({level}):")
-        payload["serve"] = run_serve_bench(level=level)
-        closed = payload["serve"]["closed_loop"]
-        chaos = payload["serve"]["chaos"]
-        print(
-            f"  closed-loop p50 {closed['p50_ms']}ms p99 {closed['p99_ms']}ms "
-            f"({closed['qps']} qps); chaos failure rate "
-            f"{chaos['failure_rate']}"
-        )
+    print(f"serve bench ({level}):")
+    payload["serve"] = run_serve_bench(level=level)
+    closed = payload["serve"]["closed_loop"]
+    chaos = payload["serve"]["chaos"]
+    print(
+        f"  closed-loop p50 {closed['p50_ms']}ms p99 {closed['p99_ms']}ms "
+        f"({closed['qps']} qps); chaos failure rate "
+        f"{chaos['failure_rate']}"
+    )
     payload["peak_rss_kb"] = peak_rss_kb()
 
     out = Path(args.out) if args.out else REPO_ROOT / f"BENCH_{args.tag}.json"

@@ -23,10 +23,6 @@ default, meaning, consumer module), read it through
 ``config.get("REPRO_MY_KNOB")`` at the consumer, and regenerate the
 PERFORMANCE.md matrix with ``repro-lint --write-docs``.  Kinds:
 
-* ``mode`` — the house tri-state: ``auto`` plus the on/off synonym sets
-  (:data:`ON_VALUES` / :data:`OFF_VALUES`).  Parsed to the lowered
-  token, so consumers keep testing ``mode in ON_VALUES`` exactly as the
-  scattered readers did.
 * ``choice`` — one of an explicit token tuple (e.g. LP policies).
 * ``int`` — ``int(raw)``; empty means the default.
 * ``flag`` — boolean: on-synonyms → True, off-synonyms → False, empty →
@@ -60,11 +56,9 @@ class ConfigError(ReproError, ValueError):
     """
 
 
-#: The house on/off synonym sets shared by every ``mode``/``flag`` knob.
+#: The house on/off synonym sets shared by every ``flag`` knob.
 ON_VALUES = frozenset({"1", "on", "force", "always", "true", "yes"})
 OFF_VALUES = frozenset({"0", "off", "never", "false", "no"})
-
-_MODE_TOKENS = frozenset({"auto"}) | ON_VALUES | OFF_VALUES
 
 _UNSET = object()
 
@@ -74,7 +68,7 @@ class Knob:
     """One declared ``REPRO_*`` environment knob."""
 
     name: str
-    kind: str  # "mode" | "choice" | "int" | "flag" | "str"
+    kind: str  # "choice" | "int" | "flag" | "str"
     default: object = None
     #: How the docs name the default, when ``str(default)`` would not.
     default_doc: str | None = None
@@ -93,8 +87,6 @@ class Knob:
         return str(self.default)
 
     def documented_domain(self) -> str:
-        if self.kind == "mode":
-            return "auto / on / off"
         if self.kind == "choice":
             return " / ".join(self.choices)
         if self.kind == "flag":
@@ -122,14 +114,6 @@ class Knob:
                 )
             return value
         token = token.lower()
-        if self.kind == "mode":
-            if token not in _MODE_TOKENS:
-                raise ConfigError(
-                    f"{self.name} must be auto, an on-synonym "
-                    f"{sorted(ON_VALUES)} or an off-synonym "
-                    f"{sorted(OFF_VALUES)}, got {raw!r}"
-                )
-            return token
         if self.kind == "choice":
             if token not in self.choices:
                 raise ConfigError(
@@ -174,35 +158,6 @@ _DECLARATIONS: tuple[Knob, ...] = (
             "runtime (the test suite turns it on)"
         ),
         consumers=("repro.engine.relation",),
-    ),
-    # -- batch backends ------------------------------------------------
-    Knob(
-        "REPRO_BATCH_NDARRAY",
-        "mode",
-        default="auto",
-        description=(
-            "int64 block backend: auto engages at REPRO_BATCH_NDARRAY_MIN "
-            "rows, on forces every batch, off never"
-        ),
-        consumers=("repro.engine.frontier",),
-    ),
-    Knob(
-        "REPRO_BATCH_NDARRAY_MIN",
-        "int",
-        default=4096,
-        description="auto-mode row threshold for the block backend",
-        consumers=("repro.engine.frontier",),
-    ),
-    # -- block executor profiling --------------------------------------
-    Knob(
-        "REPRO_PROFILE_STEPS",
-        "flag",
-        default=False,
-        description=(
-            "record per-spec-kind wall/rows/calls into "
-            "fused.profile_snapshot()"
-        ),
-        consumers=("repro.engine.fused",),
     ),
     # -- LP policy -----------------------------------------------------
     Knob(
@@ -303,6 +258,25 @@ RETIRED: dict[str, str] = {
         "the thread shard backend and its pool are deleted; shards ran "
         "at 0.97x overall on E17 (BENCH_PR9) and at parity on the e2e "
         "fdchain workload (2-CPU host)"
+    ),
+    "REPRO_BATCH_NDARRAY": (
+        "frontier size picks the executor (blocks from 4096 rows, "
+        "engine.frontier); forcing blocks onto every batch cost "
+        "serve_mix latency_ms +12% (0.326-0.337 vs 0.362-0.370 ms; 66 "
+        "row-loop calls per 120 requests, 45 rows each) and forcing the "
+        "row-loop cost fdchain latency_ms 6.3x (44-45 vs 279-285 ms; one "
+        "78,672-row block call); alternating pairs, 2-CPU host"
+    ),
+    "REPRO_BATCH_NDARRAY_MIN": (
+        "the 4096-row block threshold is a constant in engine.frontier: "
+        "serve_mix's row-loop batches average 45 rows and fdchain's block "
+        "batch holds 78,672, so no workload sits near it and no caller "
+        "set another value"
+    ),
+    "REPRO_PROFILE_STEPS": (
+        "per-spec-kind block profiling is deleted with its profiled "
+        "codegen; the e2e --trace spans expansion_plan.execute_s and "
+        "fused.compile_s time the block executor per call"
     ),
     "REPRO_SHARD_MIN": (
         "the thread shard backend is deleted; at the 65536-row auto "

@@ -520,9 +520,10 @@ class Database:
         ``rows`` (laid out over ``source_schema``) through the compiled
         expansion plan toward ``target``, drop dangling rows, and reorder
         each survivor onto ``out_schema``.  This is the one door from row
-        frontiers into the block backend: once
-        ``frontier.ndarray_engaged`` holds, the rows convert to one int64
-        block and :meth:`expand_block_relation` takes over.  A step-less
+        frontiers into the block executor: from
+        ``frontier.NDARRAY_MIN_ROWS`` rows (``frontier.ndarray_engaged``),
+        the rows convert to one int64 block and
+        :meth:`expand_block_relation` takes over.  A step-less
         plan (already closed schema) stays a C-level reorder — or a
         pass-through when the reorder is the identity.  Output rows are
         distinct by the callers' provenance argument (injective join +
@@ -722,38 +723,12 @@ class Database:
         epilogue: membership via each input twin's tuple set, UDF
         consistency via the compiled checks.  One work-counter touch per
         candidate, as in the naive row-dict filter.
-
-        Under a forced-on block backend the membership conjunction runs
-        vectorized instead: the candidates become one int64 block and
-        each input contributes a sorted-key-block ``isin`` pass — same
-        survivors, in the same order, decoded at the same single
-        boundary.  (Like every tuples→block roundtrip, this is at best
-        neutral against the generated listcomp's C-level set probes, so
-        ``auto`` keeps the listcomp; the forced mode keeps the path
-        under differential coverage.)
         """
         input_names = list(input_names)
         consistent = self.udf_filter(top_attrs)
         candidates = list(candidates)
         if counter is not None:
             counter.add(len(candidates))
-        if top_attrs and frontier.ndarray_roundtrip_engaged(len(candidates)):
-            block = frontier.rows_to_block(candidates, len(top_attrs))
-            if block is not None:
-                keep = None
-                for name in input_names:
-                    rel = self.runtime(name)
-                    positions = tuple(
-                        top_attrs.index(a) for a in rel.schema
-                    )
-                    hit = frontier.block_isin(
-                        block, positions, rel.key_block(rel.schema)
-                    )
-                    keep = hit if keep is None else keep & hit
-                rows = (block if keep is None else block[keep]).tolist()
-                if consistent is not None:
-                    rows = [t for t in rows if consistent(t)]
-                return self.codec.decode_tuples(top_attrs, rows)
         # Flatten the membership conjunction into one generated listcomp:
         # per candidate it costs the key extractions (C itemgetters) and
         # set probes, no per-check loop frames.  Semantically identical to

@@ -30,13 +30,14 @@ the reference path (``repro.engine.reference``): one touch per guarded fd
 application (hit or miss) and one per UDF evaluation — the *measured work
 shapes are bit-identical*, only the constant factor drops.
 
-Row-tuple batches run on one executor at every frontier size: the
-generated row-loop.  Plans additionally run int64
-frontier blocks (:mod:`repro.engine.frontier`) through one block
-executor, ``execute_batch_ndarray``: the plan's generated pipeline from
-:mod:`repro.engine.fused` (dense gathers composed across consecutive
-guard steps, sort/searchsorted key joins, UDFs on masked-in rows only).
-Every path charges identical counts.
+A plan runs a batch on one of two executors, and frontier size picks
+which (:func:`repro.engine.frontier.ndarray_engaged`).  Row-tuple
+batches run the generated row-loop, ``execute_batch``.  A seam holding
+at least ``frontier.NDARRAY_MIN_ROWS`` rows hands an int64 block
+(:mod:`repro.engine.frontier`) to ``execute_batch_ndarray`` instead: the
+plan's generated pipeline from :mod:`repro.engine.fused` (dense gathers
+composed across consecutive guard steps, sort/searchsorted key joins,
+UDFs on masked-in rows only).  Both executors charge identical counts.
 """
 
 from __future__ import annotations
@@ -133,14 +134,12 @@ class ExpansionPlan:
     It returns a list aligned with the input (``None`` marks dangling
     rows) and charges the counter the exact per-tuple total: one touch
     per step a tuple reaches, nothing past the step where it dangles.
-    ``execute_batch_ndarray`` is the int64 block executor; the two meet
-    only where ``execute_batch`` forwards a row frontier under a
-    forced-on block backend.
+    ``execute_batch_ndarray`` is the int64 block executor.
     """
 
     __slots__ = (
         "source_schema", "out_schema", "steps", "_positions",
-        "execute", "_execute_batch_rows", "_nd_specs", "_fused_pipelines",
+        "execute", "_execute_batch_rows", "_nd_specs", "_pipeline",
     )
 
     def __init__(
@@ -156,9 +155,7 @@ class ExpansionPlan:
         self.execute = self._compile()
         self._execute_batch_rows = self._compile_batch()
         self._nd_specs = None  # ndarray step specs, compiled on first use
-        # Generated fused pipelines, keyed by fused.pipeline_key();
-        # compiled lazily from (and invalidated with) _nd_specs.
-        self._fused_pipelines: dict = {}
+        self._pipeline = None  # the fused pipeline, compiled on first use
 
     def positions(self, attrs: Sequence[str]) -> tuple[int, ...]:
         """Positions of ``attrs`` in :attr:`out_schema`."""
@@ -245,16 +242,8 @@ class ExpansionPlan:
         return namespace["execute_batch"]
 
     def execute_batch(self, tuples, counter=None) -> list:
-        """Run the plan over a row frontier; aligned output, ``None`` =
-        dangling.
-
-        The generated row-loop runs every frontier size.  Under a
-        forced-on block backend a frontier instead takes the
-        tuples → block → tuples roundtrip through
-        :meth:`execute_batch_ndarray`, so the differential variants and
-        the CI cross gate cover the block path from every row caller.
-        Counter totals are bit-identical either way.
-        """
+        """Run the plan over a row frontier on the generated row-loop;
+        aligned output, ``None`` = dangling."""
         if not isinstance(tuples, (list, tuple)):
             tuples = list(tuples)
         if not self.steps:
@@ -267,11 +256,6 @@ class ExpansionPlan:
         if n == 0:
             return []
         checkpoint()  # frontier-block granularity deadline/fault check-in
-        if _frontier.ndarray_roundtrip_engaged(n):
-            block = _frontier.rows_to_block(tuples, len(self.source_schema))
-            if block is not None:
-                out, mask = self.execute_batch_ndarray(block, counter)
-                return _frontier.block_to_rows(out, mask)
         return self._execute_batch_rows(tuples, counter)
 
     # ------------------------------------------------------------------
@@ -351,15 +335,6 @@ class ExpansionPlan:
         self._nd_specs = specs = tuple(built)
         return specs
 
-    def _fused_pipeline(self):
-        """The generated fused pipeline for the current configuration
-        (compiled once per plan, cached alongside ``_nd_specs``)."""
-        key = _fused.pipeline_key()
-        fn = self._fused_pipelines.get(key)
-        if fn is None:
-            fn = self._fused_pipelines[key] = _fused.compile_pipeline(self)
-        return fn
-
     def execute_batch_ndarray(self, block, counter=None, step_alive=None):
         """Run the plan over an ``(n, len(source_schema))`` int64 frontier
         block.
@@ -381,12 +356,14 @@ class ExpansionPlan:
 
         The whole spec list runs as the plan's generated pipeline
         (:func:`repro.engine.fused.compile_pipeline`), with consecutive
-        dense gathers composed into fused tables.  Every block caller
-        (the chain/CSMA/SMA/generic seams,
-        ``Database.expand_rows_relation`` and the forced-on
-        ``execute_batch`` roundtrip) goes through this one method.
+        dense gathers composed into fused tables, compiled on first use.
+        Every block caller (the chain/CSMA/SMA/generic seams and
+        ``Database.expand_rows_relation``) goes through this one method.
         """
-        return self._fused_pipeline()(block, counter, step_alive)
+        pipeline = self._pipeline
+        if pipeline is None:
+            pipeline = self._pipeline = _fused.compile_pipeline(self)
+        return pipeline(block, counter, step_alive)
 
 
 class RelationExpansionPlan:

@@ -1,4 +1,4 @@
-"""Array-of-int64 frontier blocks — the ndarray batch backend's substrate.
+"""Array-of-int64 frontier blocks — the block executor's substrate.
 
 Every frontier cell the engines carry is a small non-negative int
 dictionary code, so a frontier of ``n`` rows over ``w`` attributes is
@@ -7,9 +7,14 @@ vocabulary the block executor (``ExpansionPlan.execute_batch_ndarray``,
 which runs the generated pipelines of :mod:`repro.engine.fused`) and
 the engines' frontier seams share:
 
-* **blocks** — ``rows_to_block`` / ``columns_to_block`` /
-  ``block_to_rows`` convert between Python tuple frontiers and int64
-  matrices at the (few) remaining row boundaries;
+* **executor choice** — a seam runs a batch on blocks when it holds at
+  least :data:`NDARRAY_MIN_ROWS` rows (:func:`ndarray_engaged`), else on
+  the generated row-loop.  Both executors charge bit-identical
+  ``tuples_touched``; :func:`min_rows_override` moves the threshold for
+  one context (the service's ``encoded-rows`` stage, the differential
+  harness);
+* **blocks** — ``rows_to_block`` / ``columns_to_block`` convert Python
+  tuple frontiers and column stores into int64 matrices at the seams;
 * **dangling masks** — a block travels with an optional boolean mask
   (``None`` = every row alive); dead rows keep garbage cells that are
   never read;
@@ -17,12 +22,7 @@ the engines' frontier seams share:
   as sort/searchsorted joins over mixed-radix packed int64 keys (with a
   lexicographic void-view fallback: rows cast to big-endian int64 and
   reinterpreted as fixed-width byte strings compare exactly like the
-  corresponding key tuples, since codes are non-negative);
-* **mode knobs** — ``REPRO_BATCH_NDARRAY`` (``auto``/``on``/``off``) and
-  ``REPRO_BATCH_NDARRAY_MIN`` select when plans route batches
-  through the block backend.  ``auto`` engages above the row threshold;
-  the CI smoke pins ``on`` vs ``off`` to bit-identical
-  ``tuples_touched``.
+  corresponding key tuples, since codes are non-negative).
 
 Raw values are arbitrary Python objects and never enter a block.
 """
@@ -34,83 +34,44 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from repro import config
 from repro.engine.cancellation import checkpoint
 
 
-#: Row count at which ``auto`` mode routes a batch through the
-#: block backend.  Below it the generated row-loop's lower constant wins;
-#: above it ``np.take``/searchsorted amortize the boundary conversions.
-NDARRAY_MIN_ROWS = config.get("REPRO_BATCH_NDARRAY_MIN")
+#: Row count from which a seam runs its batch on the block executor.
+#: Below it the generated row-loop's lower constant wins; above it
+#: ``np.take``/searchsorted amortize the conversion into a block.  No
+#: benchmark workload sits near it: serve_mix's row-loop batches average
+#: 45 rows (blocks on every batch cost its ``latency_ms`` +12 %), while
+#: fdchain runs one 78,672-row block call (the row-loop alone cost its
+#: ``latency_ms`` 6.3x; 2-CPU host).
+NDARRAY_MIN_ROWS = 4096
 
-_ON = config.ON_VALUES
-_OFF = config.OFF_VALUES
-
-#: ``auto`` (threshold), ``on`` (every batch) or ``off`` (never).
-#: Mutable module state so the differential harness can force both modes.
-NDARRAY_MODE = config.get("REPRO_BATCH_NDARRAY")
-
-#: Per-context mode override: the serving layer's degradation chain runs
-#: one query's fallback stage with the block backend off *without*
-#: touching the process-global mode other worker threads are using.
-_MODE_OVERRIDE: ContextVar[str | None] = ContextVar(
-    "repro_ndarray_mode_override", default=None
+#: The threshold in force for the current context; ``None`` = never.
+_MIN_ROWS: ContextVar[int | None] = ContextVar(
+    "repro_ndarray_min_rows", default=NDARRAY_MIN_ROWS
 )
 
 
-def active_mode() -> str:
-    """The mode in force for the current context: the contextual override
-    when one is installed, the module-global knob otherwise."""
-    override = _MODE_OVERRIDE.get()
-    return NDARRAY_MODE if override is None else override
-
-
 @contextmanager
-def mode_override(mode: str):
-    """Force ``mode`` (``auto``/``on``/``off``) for the dynamic extent of
-    the block, in this thread/context only."""
-    token = _MODE_OVERRIDE.set(mode)
+def min_rows_override(min_rows: int | None):
+    """Run the block under row threshold ``min_rows`` (``1`` = blocks on
+    every non-empty batch, ``None`` = the row-loop only), in this
+    thread/context only — other worker threads keep their own."""
+    token = _MIN_ROWS.set(min_rows)
     try:
         yield
     finally:
-        _MODE_OVERRIDE.reset(token)
+        _MIN_ROWS.reset(token)
 
 
 def ndarray_engaged(n: int) -> bool:
-    """Does the block backend handle a batch of ``n`` rows under the
-    current mode?"""
-    if n <= 0:
-        return False
-    mode = active_mode()
-    if mode in _OFF:
-        return False
-    if mode in _ON:
-        return True
-    return n >= NDARRAY_MIN_ROWS
-
-
-def ndarray_forced_on() -> bool:
-    """Is the backend *forced* on (``REPRO_BATCH_NDARRAY=on``)?  Callers
-    with extra engagement heuristics (e.g. generic join's determined-run
-    length) bypass them under force, so the differential variants and
-    the CI cross gate exercise the block path everywhere it can run."""
-    return active_mode() in _ON
-
-
-def ndarray_roundtrip_engaged(n: int) -> bool:
-    """Should a *row-tuple* entry point (``execute_batch``) route through
-    the block backend?  Those calls convert tuples → block **and** back,
-    and the E17 suite measures that roundtrip at best neutral (the step
-    work saved roughly equals the two conversions), so under ``auto`` it
-    never engages — the block backend is reserved for the direct seams
-    (``execute_batch_ndarray`` callers), where frontiers stay blocks.
-    Forcing ``on`` still routes every batch through it, which is
-    what the differential variants and the CI cross gate rely on."""
-    return n > 0 and ndarray_forced_on()
+    """Does a seam run a batch of ``n`` rows on the block executor?"""
+    min_rows = _MIN_ROWS.get()
+    return min_rows is not None and n >= min_rows
 
 
 # ----------------------------------------------------------------------
-# Block construction / deconstruction
+# Block construction
 # ----------------------------------------------------------------------
 
 def rows_to_block(rows, width: int):
@@ -141,18 +102,6 @@ def columns_to_block(columns, n: int):
     if block.ndim != 2 or block.shape != (len(columns), n):
         return None
     return block.T
-
-
-def block_to_rows(block, mask) -> list:
-    """Block + dangling mask → the aligned tuple list ``execute_batch``
-    promises (``None`` marks dangling rows)."""
-    if mask is None:
-        return list(map(tuple, block.tolist()))
-    out: list = [None] * block.shape[0]
-    alive = np.flatnonzero(mask).tolist()
-    for i, row in zip(alive, map(tuple, block[mask].tolist())):
-        out[i] = row
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -30,60 +30,18 @@ compose, then compile:
   call into the cached pipeline, so every block seam (chain stage-2/3,
   SMA/CSMA SM-joins, generic BFS, LFTJ) runs through it.
 
-``REPRO_PROFILE_STEPS=1`` records per-spec-kind wall time and row
-counts during block execution (:func:`profile_snapshot`), surfaced by
-``bench_e17_large_frontier.py``.
-
-The differential suite (``tests/differential.py``) pins the block
-executor against the row-loop backend: bit-identical work profiles
-across all five engines.
+Frontier size decides which batches reach it
+(:func:`repro.engine.frontier.ndarray_engaged`).  The differential suite
+(``tests/differential.py``) pins the block executor against the
+row-loop: bit-identical work profiles across all five engines.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
-from repro import config
 from repro.engine.cancellation import checkpoint
 from repro.engine.frontier import key_hits
-
-
-# ----------------------------------------------------------------------
-# Per-step profiling (REPRO_PROFILE_STEPS=1)
-# ----------------------------------------------------------------------
-
-#: Truthy env flag; mutable so benches can flip it in-process.
-PROFILE_STEPS = config.get("REPRO_PROFILE_STEPS")
-
-#: kind → [calls, rows, wall seconds].  Guarded by the GIL per += — the
-#: counters are advisory (profiling only), never part of the
-#: bit-identical contract.
-_PROFILE: dict[str, list] = {}
-
-
-def profile_record(kind: str, rows: int, seconds: float) -> None:
-    entry = _PROFILE.get(kind)
-    if entry is None:
-        entry = _PROFILE.setdefault(kind, [0, 0, 0.0])
-    entry[0] += 1
-    entry[1] += rows
-    entry[2] += seconds
-
-
-def profile_snapshot(reset: bool = True) -> dict:
-    """``{kind: {"calls", "rows", "wall_s"}}`` accumulated since the last
-    reset — per spec kind (``dense``/``sparse``/``udf``) plus ``fused``
-    for composed dense runs, so a fusion win is attributable per step
-    kind rather than a single aggregate number."""
-    snap = {
-        kind: {"calls": c, "rows": r, "wall_s": round(w, 6)}
-        for kind, (c, r, w) in sorted(_PROFILE.items())
-    }
-    if reset:
-        _PROFILE.clear()
-    return snap
 
 
 # ----------------------------------------------------------------------
@@ -181,12 +139,6 @@ def compose_fused_specs(specs, source_width: int):
 # Pipeline codegen
 # ----------------------------------------------------------------------
 
-def pipeline_key() -> tuple:
-    """Cache key for a plan's compiled pipeline: only the profiling
-    flag changes the generated code."""
-    return (bool(PROFILE_STEPS),)
-
-
 def compile_pipeline(plan):
     """Exec-compile one function running ``plan``'s whole fused spec
     list over an int64 block: ``pipeline(block, counter=None,
@@ -208,15 +160,8 @@ def compile_pipeline(plan):
     specs = plan._ndarray_specs()
     fused_specs = compose_fused_specs(specs, len(plan.source_schema))
     total_orig = len(specs)
-    profiled = bool(PROFILE_STEPS)
 
-    ns: dict = {
-        "np": np,
-        "checkpoint": checkpoint,
-        "key_hits": key_hits,
-        "_prof": profile_record,
-        "_pc": perf_counter,
-    }
+    ns: dict = {"np": np, "checkpoint": checkpoint, "key_hits": key_hits}
     w_out = len(plan.out_schema)
     ncols = len(plan.source_schema)
     # zeros, not empty: appended cells of rows that dangle mid-plan are
@@ -254,9 +199,6 @@ def compile_pipeline(plan):
     for i, spec in enumerate(fused_specs):
         kind = spec[0]
         lines.append("    checkpoint()")
-        if profiled:
-            lines.append("    _t0 = _pc()")
-            lines.append(f"    _rows0 = {alive_expr()}")
         if kind == "udf":
             _, positions, fn, width = spec
             ns[f"fn{i}"] = fn
@@ -294,10 +236,6 @@ def compile_pipeline(plan):
                     )
             cursor += width
             orig_done += 1
-            if profiled:
-                lines.append(
-                    "    _prof('udf', _rows0, _pc() - _t0)"
-                )
             continue
         if kind == "dense":
             _, pos, size, valid, images, width = spec
@@ -321,7 +259,6 @@ def compile_pipeline(plan):
                 lines.append("    hit = np.zeros(n, dtype=bool)")
             cursor += width
             orig_done += 1
-            prof_kind = "dense"
         elif kind == "sparse":
             _, positions, struct, images, width = spec
             ns[f"struct{i}"] = struct
@@ -340,7 +277,6 @@ def compile_pipeline(plan):
                 )
             cursor += width
             orig_done += 1
-            prof_kind = "sparse"
         else:  # fused dense run
             _, pos, size, surv, images, width, k = spec
             ns[f"surv{i}"] = surv
@@ -379,7 +315,6 @@ def compile_pipeline(plan):
                 )
             cursor += width
             orig_done += k
-            prof_kind = "fused"
         # Masking specs: fold the hit into the mask, short-circuit when
         # the frontier dies.
         if mask_none:
@@ -388,8 +323,6 @@ def compile_pipeline(plan):
         else:
             lines.append("    mask = mask & hit")
         lines.append("    m = int(np.count_nonzero(mask))")
-        if profiled:
-            lines.append(f"    _prof('{prof_kind}', _rows0, _pc() - _t0)")
         if orig_done < total_orig:
             emit_early_return(total_orig - orig_done)
     lines.append("    if counter is not None and touched:")

@@ -177,8 +177,8 @@ def generic_join(
     # one batched plan execution instead of one call per prefix.  Child
     # order within a prefix matches the recursive formulation, so results
     # (and all counted work) are identical to the depth-first original.
-    # A large frontier travels as an int64 block
-    # (``is_block``) across consecutive determined depths: the plan runs
+    # A large frontier entering a run of two or more determined depths
+    # travels as an int64 block (``is_block``) across it: the plan runs
     # on the block backend and verification probes sorted key blocks —
     # rows re-tuple only at a data-dependent choose depth or the terminal.
     frontier: list[tuple] = [()]
@@ -203,7 +203,7 @@ def generic_join(
                 counter.add(n)
             if (
                 not is_block
-                and (det_run[depth] >= 2 or frontier_blocks.ndarray_forced_on())
+                and det_run[depth] >= 2
                 and frontier_blocks.ndarray_engaged(n)
             ):
                 block = frontier_blocks.rows_to_block(frontier, depth)

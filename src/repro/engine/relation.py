@@ -160,38 +160,6 @@ class Relation:
                 )
         return rel
 
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        schema: Sequence[str],
-        columns: Sequence[Sequence],
-        distinct: bool = False,
-        all_int: bool = False,
-    ) -> "Relation":
-        """Build a relation from a column store, installing the store.
-
-        The seam the array-of-int64 frontier uses: a producer that already
-        holds result *columns* (e.g. ``Database.expand_rows_relation``'s
-        ndarray path) constructs the relation with one C-level ``zip``
-        transposition and seeds the columnar view (plus the all-int
-        verdict, when the columns are dictionary codes), so downstream
-        ``index_on``/batch executions never re-transpose or re-scan.
-
-        The store is installed only when it matches the relation's rows:
-        without ``distinct=True`` the constructor may dedup, and seeding
-        the pre-dedup columns would desync ``columns()`` from ``tuples``
-        — in that case the (consistent) lazy transpose applies instead.
-        """
-        columns = tuple(tuple(column) for column in columns)
-        rows = zip(*columns) if columns else ()
-        rel = cls(name, schema, rows, distinct=distinct)
-        if len(columns) == len(rel.schema) and (
-            not columns or len(rel.tuples) == len(columns[0])
-        ):
-            rel.seed_columns(columns, all_int=all_int)
-        return rel
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         codes = self._codes
@@ -350,14 +318,6 @@ class Relation:
                 )
         return self._columns
 
-    def cached_columns(self) -> tuple[tuple, ...] | None:
-        """The columnar view if already materialized, else ``None``.
-
-        For fast paths that profit from columns but should not pay the
-        transposition just to find out.
-        """
-        return self._columns
-
     def code_columns(self) -> np.ndarray | None:
         """The read-only ``(width, n)`` int64 code array of a relation
         built :meth:`from_codes`, else ``None``."""
@@ -387,20 +347,6 @@ class Relation:
     # ------------------------------------------------------------------
     # The encoded twin hooks (see repro.engine.dictionary)
     # ------------------------------------------------------------------
-    def seed_columns(
-        self, columns: tuple[tuple, ...], all_int: bool = False
-    ) -> None:
-        """Install a pre-built columnar view (and its all-int verdict).
-
-        Used by :meth:`from_columns`, whose producers already hold the
-        result columns.  Encoded twins do not use it: their store is the
-        int64 code array of :meth:`from_codes`, and their Python-int
-        columns are built only if :meth:`columns` is called.
-        """
-        self._columns = columns
-        if all_int:
-            self._columns_all_int = (True,) * len(self.schema)
-
     def encoded_twin(self, codec) -> "Relation | None":
         """The cached encoded twin for ``codec``, if one was built."""
         if self._twins is None:

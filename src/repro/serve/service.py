@@ -21,13 +21,13 @@ pool, with the robustness pieces the kernel alone doesn't provide:
   (:mod:`repro.engine.cancellation`) — a timed-out query unwinds and
   releases its worker.
 * **Graceful degradation**: on a classified engine fault the query
-  retries down a two-stage chain — the ndarray block backend, then the
-  generated row loop with blocks off.  Both stages compute the same
-  bit-identical answer (the kernel's differential contract), so a
-  degraded response is *correct*, just slower; the response records
-  which stage answered and every fault absorbed along the way.  A fault
-  that outlives both stages — a poisoned dictionary entry, which every
-  stage decodes through — ends the query in a typed
+  retries down a two-stage chain — frontier size picking each batch's
+  executor, then the generated row loop with blocks off.  Both stages
+  compute the same bit-identical answer (the kernel's differential
+  contract), so a degraded response is *correct*, just slower; the
+  response records which stage answered and every fault absorbed along
+  the way.  A fault that outlives both stages — a poisoned dictionary
+  entry, which every stage decodes through — ends the query in a typed
   :class:`~repro.errors.EngineFault` (``stage="exhausted"``) carrying
   both stages' faults; the next compaction heals the poison, because it
   rebuilds the codec from the stored value rows.
@@ -49,7 +49,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from contextvars import copy_context
 from dataclasses import dataclass, field
 
@@ -78,15 +77,15 @@ from repro.serve.faults import FaultInjector
 #: to cover every code path).
 ENGINES = ("auto", "generic", "lftj", "binary", "csma")
 
-#: The degradation chain, fastest stage first, as ``(label,
-#: ndarray_mode)`` pairs: ``ndarray_mode`` overrides
-#: ``REPRO_BATCH_NDARRAY`` for the stage (``None`` leaves the configured
-#: knob alone).  The block backend falls back to the row loop (no
+#: The degradation chain, fastest stage first, as ``(label, min_rows)``
+#: pairs: ``min_rows`` is the stage's block-executor row threshold
+#: (``frontier.min_rows_override``).  The first stage picks each batch's
+#: executor by frontier size; the fallback runs the row-loop only (no
 #: blocks).  Both stages compute bit-identical canonical rows (the
 #: kernel's differential contract).
 DEGRADATION_STAGES = (
-    ("encoded-ndarray", None),
-    ("encoded-rows", "off"),
+    ("encoded-ndarray", frontier.NDARRAY_MIN_ROWS),
+    ("encoded-rows", None),
 )
 
 
@@ -283,8 +282,8 @@ class QueryService:
         start = time.perf_counter()
         try:
             # Run the worker inside a contextvars snapshot of the
-            # submitting context, so ambient overrides (LP policy, batch
-            # modes) propagate into the pool.
+            # submitting context, so ambient overrides (the LP policy)
+            # propagate into the pool.
             ctx = copy_context()
             return self._pool.submit(
                 ctx.run,
@@ -378,12 +377,9 @@ class QueryService:
         next (simpler) stage retries.  All stages produce bit-identical
         canonical rows — the kernel's differential contract."""
         absorbed: list[dict] = []
-        for index, (label, mode) in enumerate(DEGRADATION_STAGES):
+        for index, (label, min_rows) in enumerate(DEGRADATION_STAGES):
             try:
-                override = (
-                    frontier.mode_override(mode) if mode else nullcontext()
-                )
-                with override:
+                with frontier.min_rows_override(min_rows):
                     relation, algorithm, touched = _run_engine(
                         engine, query, db
                     )

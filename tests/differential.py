@@ -17,16 +17,17 @@ it ships (see PERFORMANCE.md, "The differential testing contract"):
 
 The registry below names every current engine; ``MANDATORY_ENGINES`` are
 the ones that must run on every instance the generators produce.  The
-batched plan backends (the ``ExpansionPlan.execute_batch`` row-loop and
-the forced-on block roundtrip) and the positional-kernel leapfrog port
-are registered as mandatory — a regression in either fails this
-harness, not just a downstream benchmark.
+batch executors (the ``ExpansionPlan.execute_batch`` row-loop and the
+``execute_batch_ndarray`` block pipeline) and the positional-kernel
+leapfrog port are registered as mandatory — a regression in either
+fails this harness, not just a downstream benchmark.
 
 Every engine runs on dictionary codes.  The ``*-ndarray-frontier``
-variants (one per algorithm family) force the array-of-int64 block
-backend onto every batch; :func:`assert_ndarray_backend_equivalence`
-pins whole-engine work profiles bit-identical with the backend forced on
-vs off, :func:`assert_lazy_equivalence` pins a database that defers its
+variants (one per algorithm family) lower the block executor's row
+threshold to 1, so every block seam runs blocks at any frontier size;
+:func:`assert_ndarray_backend_equivalence` pins whole-engine work
+profiles bit-identical with blocks at every seam vs the row-loop only,
+:func:`assert_lazy_equivalence` pins a database that defers its
 encoding (``encode=False``) to an eagerly encoded one, and
 :func:`mixed_type_midrun_instance` generates the cross-type /
 mid-run-interning corpus both sharp-edge fixes are pinned on.
@@ -47,6 +48,7 @@ from repro.core.csma import csma
 from repro.core.simple_keys import all_guarded_simple_keys, closure_trick_join
 from repro.core.sma import SMAError, submodularity_algorithm
 from repro.datagen.from_lattice import database_from_world, query_from_lattice
+from repro.engine import frontier
 from repro.engine.binary_join import binary_join_plan
 from repro.engine.database import Database
 from repro.engine.generic_join import generic_join
@@ -77,17 +79,22 @@ def lp_backend_forced(backend: str):
             os.environ["REPRO_LP_BACKEND"] = saved
 
 
-@contextmanager
 def ndarray_forced(mode: str):
-    """Temporarily force the ndarray frontier backend ``on``/``off``/``auto``."""
-    from repro.engine import frontier
+    """A ``with`` scope, in this context only, where every block seam
+    runs blocks at any frontier size (``on``: row threshold 1) or none
+    does (``off``: the row-loop only)."""
+    return frontier.min_rows_override({"on": 1, "off": None}[mode])
 
-    saved = frontier.NDARRAY_MODE
-    frontier.NDARRAY_MODE = mode
-    try:
-        yield
-    finally:
-        frontier.NDARRAY_MODE = saved
+
+def block_rows(block, mask) -> list:
+    """Block + dangling mask → the aligned tuple list ``execute_batch``
+    returns (``None`` marks dangling rows)."""
+    rows = list(map(tuple, block.tolist()))
+    if mask is None:
+        return rows
+    return [
+        row if alive else None for row, alive in zip(rows, mask.tolist())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -337,8 +344,8 @@ def _run_csma_exact_lp(query, db, schema):
 
 
 def _ndarray_variant(runner: Callable) -> Callable:
-    """The same engine with the ndarray frontier backend forced on for
-    every batch (no row threshold)."""
+    """The same engine with the block executor at every seam for any
+    frontier size (row threshold 1)."""
 
     def run(query, db, schema):
         with ndarray_forced("on"):
@@ -382,8 +389,8 @@ ENGINES: dict[str, Callable] = {
 #: every fuzz instance must evaluate correctly with *no* floating-point
 #: LP in the loop (scipy demoted to an optional cross-check).  The
 #: ``*-ndarray-frontier``
-#: variants force the array-of-int64 backend onto every batch
-#: regardless of size — one per algorithm family; the three whose base
+#: variants run every block seam on blocks regardless of frontier size
+#: — one per algorithm family; the three whose base
 #: engines apply to every generated instance are mandatory (``chain``/
 #: ``sma`` variants run whenever their base engines do), and
 #: :func:`assert_ndarray_backend_equivalence` additionally pins their
@@ -443,8 +450,8 @@ def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
     and run it through per-row ``reference_expand_tuple`` (the
     value-level specification) and — rows encoded on entry, outputs
     decoded for the comparison — through the generated row-loop and the
-    forced-on int64 block backend.  Results and ``tuples_touched`` must
-    match bit-identically.
+    int64 block pipeline.  Results and ``tuples_touched`` must match
+    bit-identically.
     """
     codec = db.codec
     for name, rel in db.relations.items():
@@ -464,17 +471,20 @@ def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
         # Garbage rows intern fresh codes after the plan compiled: every
         # backend must treat them as misses.
         enc_rows = [codec.encode_row(rel.schema, r) for r in rows]
-        for mode in ("off", "on"):
+        block = frontier.rows_to_block(enc_rows, len(rel.schema))
+        for executor in ("row-loop", "block"):
             counter = WorkCounter()
-            with ndarray_forced(mode):
+            if executor == "row-loop":
                 out = plan.execute_batch(enc_rows, counter)
+            else:
+                out = block_rows(*plan.execute_batch_ndarray(block, counter))
             decoded = [
                 None if r is None else codec.decode_row(plan.out_schema, r)
                 for r in out
             ]
-            assert decoded == ref, f"{name}: batch[ndarray {mode}] diverges"
+            assert decoded == ref, f"{name}: batch[{executor}] diverges"
             assert counter.tuples_touched == ref_counter.tuples_touched, (
-                f"{name}: batch[ndarray {mode}] counts "
+                f"{name}: batch[{executor}] counts "
                 f"{counter.tuples_touched} != {ref_counter.tuples_touched}"
             )
 
@@ -543,14 +553,13 @@ def assert_lazy_equivalence(query, db) -> None:
 
 
 def assert_ndarray_backend_equivalence(query, db) -> None:
-    """The ndarray frontier backend ≡ the row-loop backend, bit-identically.
+    """The block executor ≡ the row-loop, bit-identically.
 
-    Runs every engine's work profile twice — once
-    with the array-of-int64 backend forced onto every batch, once with it
-    forced off (the generated row-loop) — and
-    asserts identical ``tuples_touched`` everywhere plus identical CSMA
-    results.  Any drift means the block backend changed the measured work
-    shape, not just the constant factor.
+    Runs every engine's work profile twice — once with every block seam
+    on blocks at any frontier size, once on the generated row-loop only
+    — and asserts identical ``tuples_touched`` everywhere plus identical
+    CSMA results.  Any drift means the block executor changed the
+    measured work shape, not just the constant factor.
     """
     schema = tuple(sorted(query.variables))
     with ndarray_forced("on"):

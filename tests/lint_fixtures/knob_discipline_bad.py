@@ -4,15 +4,15 @@ import os
 
 
 def raw_read():
-    return os.environ.get("REPRO_BATCH_NDARRAY_MIN", "")
+    return os.environ.get("REPRO_PLAN_CACHE_MAX", "")
 
 
 def raw_getenv():
-    return os.getenv("REPRO_BATCH_NDARRAY")
+    return os.getenv("REPRO_CHECK_DISTINCT")
 
 
 def raw_subscript():
-    return os.environ["REPRO_CHECK_DISTINCT"]
+    return os.environ["REPRO_LP_BACKEND"]
 
 
 def undeclared():

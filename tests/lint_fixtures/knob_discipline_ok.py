@@ -6,11 +6,11 @@ from repro import config
 
 
 def registry_read():
-    return config.get("REPRO_BATCH_NDARRAY")
+    return config.get("REPRO_PLAN_CACHE_MAX")
 
 
 def registry_probe():
-    return config.is_set("REPRO_BATCH_NDARRAY")
+    return config.is_set("REPRO_CHECK_DISTINCT")
 
 
 def env_write(value):

@@ -16,16 +16,15 @@ from repro.errors import ReproError
 
 KNOB_NAMES = sorted(KNOBS)
 INT_KNOBS = [n for n in KNOB_NAMES if KNOBS[n].kind == "int"]
-MODE_KNOBS = [n for n in KNOB_NAMES if KNOBS[n].kind == "mode"]
 FLAG_KNOBS = [n for n in KNOB_NAMES if KNOBS[n].kind == "flag"]
 CHOICE_KNOBS = [n for n in KNOB_NAMES if KNOBS[n].kind == "choice"]
 STR_KNOBS = [n for n in KNOB_NAMES if KNOBS[n].kind == "str"]
 
 
-def test_every_knob_is_one_of_the_five_kinds():
-    assert set(INT_KNOBS) | set(MODE_KNOBS) | set(FLAG_KNOBS) | set(
-        CHOICE_KNOBS
-    ) | set(STR_KNOBS) == set(KNOB_NAMES)
+def test_every_knob_is_one_of_the_four_kinds():
+    assert set(INT_KNOBS) | set(FLAG_KNOBS) | set(CHOICE_KNOBS) | set(
+        STR_KNOBS
+    ) == set(KNOB_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -47,22 +46,6 @@ def test_int_knobs_round_trip(name, value, left, right):
             config.get(name, {name: raw})
     else:
         assert config.get(name, {name: raw}) == value
-
-
-@given(
-    token=st.sampled_from(
-        sorted({"auto"} | config.ON_VALUES | config.OFF_VALUES)
-    ),
-    casing=st.sampled_from([str.lower, str.upper, str.title]),
-    left=pad,
-    right=pad,
-)
-@pytest.mark.parametrize("name", MODE_KNOBS)
-def test_mode_knobs_normalize_to_the_lowered_token(
-    name, token, casing, left, right
-):
-    raw = f"{left}{casing(token)}{right}"
-    assert config.get(name, {name: raw}) == token
 
 
 @given(
@@ -107,7 +90,7 @@ def test_empty_and_whitespace_mean_unset(name):
 
 @given(garbage=st.text(min_size=1, max_size=20))
 @pytest.mark.parametrize(
-    "name", INT_KNOBS + MODE_KNOBS + FLAG_KNOBS + CHOICE_KNOBS
+    "name", INT_KNOBS + FLAG_KNOBS + CHOICE_KNOBS
 )
 def test_out_of_domain_values_raise_config_error(name, garbage):
     knob = KNOBS[name]
@@ -122,9 +105,6 @@ def test_out_of_domain_values_raise_config_error(name, garbage):
         else:
             if knob.minimum is None or value >= knob.minimum:
                 return  # in-domain draw; nothing to reject
-    elif knob.kind == "mode":
-        if token in {"auto"} | config.ON_VALUES | config.OFF_VALUES:
-            return
     elif knob.kind == "flag":
         if token in config.ON_VALUES | config.OFF_VALUES:
             return
@@ -154,9 +134,9 @@ def test_retired_knob_set_in_the_environment_raises():
     # path survived it: every read fails, naming the stale knob.
     for name in RETIRED:
         with pytest.raises(ConfigError, match=name):
-            config.get("REPRO_BATCH_NDARRAY", {name: "off"})
+            config.get("REPRO_LP_BACKEND", {name: "off"})
         # Empty still means unset, as for live knobs.
-        assert config.get("REPRO_BATCH_NDARRAY", {name: "  "}) == "auto"
+        assert config.get("REPRO_LP_BACKEND", {name: "  "}) == "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +147,6 @@ def test_retired_knob_set_in_the_environment_raises():
 EXPECTED_DEFAULTS = {
     "REPRO_PLAN_CACHE_MAX": 512,
     "REPRO_CHECK_DISTINCT": False,
-    "REPRO_BATCH_NDARRAY": "auto",
-    "REPRO_BATCH_NDARRAY_MIN": 4096,
-    "REPRO_PROFILE_STEPS": False,
     "REPRO_LP_BACKEND": "auto",
     "REPRO_FAULTS": "",
     "REPRO_FAULTS_SEED": 0,
@@ -204,6 +181,6 @@ def test_plan_cache_max_rejects_negative_caps(monkeypatch):
 
 
 def test_get_default_override_distinguishes_set_from_unset():
-    name = "REPRO_BATCH_NDARRAY_MIN"
+    name = "REPRO_PLAN_CACHE_MAX"
     assert config.get(name, {}, default=0) == 0
     assert config.get(name, {name: "3"}, default=0) == 3

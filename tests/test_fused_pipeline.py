@@ -14,8 +14,6 @@
   (:func:`differential.assert_ndarray_backend_equivalence`), and the
   generic join's determined-segment path keeps per-depth stats identical
   to the row path.
-* **Profiling** — ``REPRO_PROFILE_STEPS`` accumulates per-spec-kind
-  calls/rows/wall and resets on snapshot.
 """
 
 from __future__ import annotations
@@ -238,27 +236,3 @@ def test_generic_join_fused_segment_matches_per_depth():
     assert stats_off.tuples_touched == stats_on.tuples_touched
     assert stats_off.per_depth == stats_on.per_depth
     assert counter_off.tuples_touched == counter_on.tuples_touched
-
-
-# ----------------------------------------------------------------------
-# Per-step profiling
-# ----------------------------------------------------------------------
-
-def test_profile_snapshot_accumulates_and_resets():
-    db = _chain_db(k=3)
-    plan = db.expansion_plan(("x",))
-    saved = fused.PROFILE_STEPS
-    try:
-        fused.PROFILE_STEPS = True
-        fused.profile_snapshot()  # clear anything previous tests left
-        block = np.arange(8, dtype=np.int64).reshape(8, 1)
-        plan.execute_batch_ndarray(block, WorkCounter())
-        snap = fused.profile_snapshot()
-        assert "fused" in snap
-        assert snap["fused"]["calls"] == 1
-        assert snap["fused"]["rows"] == 8
-        assert snap["fused"]["wall_s"] >= 0
-        assert fused.profile_snapshot() == {}  # reset happened
-    finally:
-        fused.PROFILE_STEPS = saved
-        fused.profile_snapshot()

@@ -142,6 +142,13 @@ def test_certificate_rejects_tampering():
     assert certificate.verify()
     worse = replace(certificate, x=(Fraction(2), Fraction(2)))
     assert not worse.verify()  # feasible but not optimal: gap opens
+    # The same vertex with its own objective is self-consistent: primal-
+    # and dual-feasible, objective == costs · x.  Only the zero-gap check
+    # can reject it (the optimum is 8, so the gap is 8).
+    forged = replace(worse, objective=Fraction(16))
+    assert forged.primal_feasible() and forged.dual_feasible()
+    assert forged.duality_gap() == 8
+    assert not forged.verify()
     infeasible = replace(certificate, x=(Fraction(0), Fraction(0)))
     assert not infeasible.verify()
     bad_dual = replace(certificate, y_ub=(Fraction(-1), certificate.y_ub[1]))

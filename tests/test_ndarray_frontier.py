@@ -5,12 +5,14 @@ Satellite coverage for the ndarray-frontier PR:
 * **Block vocabulary** — row/column/block round trips, the lexicographic
   void view (multi-attribute keys sort and compare like their tuples),
   and ``block_isin`` membership against Python-set ground truth.
+* **Executor choice** — frontier size picks the executor, and the
+  row-threshold override holds for its own context only.
 * **Backend equivalence** — every engine's ``tuples_touched`` is
-  bit-identical with the block backend forced on vs off
+  bit-identical with blocks at every seam vs the row-loop only
   (:func:`differential.assert_ndarray_backend_equivalence`), and the
-  aligned ``execute_batch`` outputs agree across both backends
-  (row-loop, ndarray) and the scalar executor, and with
-  ``assert_batch_backend_equivalence`` on the shared corpus.
+  aligned outputs of both executors (row-loop, block pipeline) and the
+  scalar executor agree, and with ``assert_batch_backend_equivalence``
+  on the shared corpus.
 * **Mid-run interning** — codes interned *after* a plan compiled its
   ``GUARD_DENSE`` table (or sparse lookup) must dangle on every backend:
   no ``IndexError``, no silent join, reference-identical counts.
@@ -22,6 +24,8 @@ Satellite coverage for the ndarray-frontier PR:
 from __future__ import annotations
 
 import random
+import threading
+from contextvars import copy_context
 
 import numpy as np
 import pytest
@@ -32,13 +36,15 @@ from differential import (
     assert_engines_agree,
     assert_lazy_equivalence,
     assert_ndarray_backend_equivalence,
+    block_rows,
     mixed_type_midrun_instance,
     ndarray_forced,
     random_simple_key_workload,
 )
+from repro.datagen.large import fdchain_order, large_fdchain_workload
 from repro.engine import frontier
 from repro.engine.database import Database
-from repro.engine.expansion_plan import GUARD, GUARD_DENSE
+from repro.engine.expansion_plan import GUARD, GUARD_DENSE, ExpansionPlan
 from repro.engine.generic_join import generic_join
 from repro.engine.ops import WorkCounter
 from repro.engine.reference import reference_expand_tuple, reference_join
@@ -55,9 +61,9 @@ def test_block_round_trip_and_mask_alignment():
     rows = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
     block = frontier.rows_to_block(rows, 3)
     assert block.shape == (3, 3)
-    assert frontier.block_to_rows(block, None) == rows
+    assert block_rows(block, None) == rows
     mask = np.array([True, False, True])
-    assert frontier.block_to_rows(block, mask) == [rows[0], None, rows[2]]
+    assert block_rows(block, mask) == [rows[0], None, rows[2]]
     # Non-rectangular / non-int frontiers refuse (callers fall back).
     assert frontier.rows_to_block([(1, 2), (3,)], 2) is None
     assert frontier.rows_to_block([("a", 1)], 2) is None
@@ -121,22 +127,58 @@ def test_key_join_matches_index_join(width):
     assert got_touched == touched
 
 
-def test_engaged_respects_mode_and_threshold():
-    saved_mode, saved_min = frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS
-    try:
-        frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS = "auto", 100
-        assert not frontier.ndarray_engaged(99)
-        assert frontier.ndarray_engaged(100)
-        assert not frontier.ndarray_forced_on()
-        frontier.NDARRAY_MODE = "off"
-        assert not frontier.ndarray_engaged(10 ** 6)
-        assert not frontier.ndarray_forced_on()
-        frontier.NDARRAY_MODE = "on"
+def test_min_rows_override_is_context_local(monkeypatch):
+    """Frontier size picks the executor; the override moves the
+    threshold for its own context only — a thread started inside it sees
+    the default — and under the service's ``encoded-rows`` stage a
+    frontier above the default threshold makes no block call."""
+    from repro.serve.service import DEGRADATION_STAGES
+
+    default = frontier.NDARRAY_MIN_ROWS
+    assert default == 4096
+    assert not frontier.ndarray_engaged(default - 1)
+    assert frontier.ndarray_engaged(default)
+    seen = []
+
+    def probe():
+        seen.append(
+            (frontier.ndarray_engaged(1), frontier.ndarray_engaged(default))
+        )
+
+    with frontier.min_rows_override(1):
         assert frontier.ndarray_engaged(1)
         assert not frontier.ndarray_engaged(0)
-        assert frontier.ndarray_forced_on()
-    finally:
-        frontier.NDARRAY_MODE, frontier.NDARRAY_MIN_ROWS = saved_mode, saved_min
+        # A plain thread starts from an empty context (the point of the
+        # check); one started from a snapshot, as the service's workers
+        # are, carries the override.
+        plain = threading.Thread(target=probe)  # repro-lint: disable=context-propagation
+        snapshot = threading.Thread(target=copy_context().run, args=(probe,))
+        for thread in (plain, snapshot):
+            thread.start()
+            thread.join()
+    assert seen == [(False, True), (True, True)]
+    with frontier.min_rows_override(None):
+        assert not frontier.ndarray_engaged(10 ** 6)
+    assert frontier.ndarray_engaged(default)
+
+    block_calls = []
+    run_block = ExpansionPlan.execute_batch_ndarray
+
+    def counted(plan, block, *args):
+        block_calls.append(block.shape[0])
+        return run_block(plan, block, *args)
+
+    monkeypatch.setattr(ExpansionPlan, "execute_batch_ndarray", counted)
+    query, db = large_fdchain_workload(8000, k=4)
+    order = fdchain_order(4)
+    default_out, _ = generic_join(query, db, order=order, fd_aware=True)
+    assert max(block_calls) > default
+    min_rows = dict(DEGRADATION_STAGES)["encoded-rows"]
+    block_calls.clear()
+    with frontier.min_rows_override(min_rows):
+        rows_out, _ = generic_join(query, db, order=order, fd_aware=True)
+    assert block_calls == []
+    assert set(rows_out.tuples) == set(default_out.tuples)
 
 
 # ----------------------------------------------------------------------
@@ -151,22 +193,20 @@ def _dense_guard_db() -> Database:
 
 
 def _all_backend_runs(plan, rows):
-    """``execute_batch`` under every backend, plus the scalar executor."""
+    """Aligned outputs of both batch executors and the scalar one."""
     outputs = {}
-    with ndarray_forced("off"):
-        outputs["row-loop"] = _counted(plan, rows)
-    with ndarray_forced("on"):
-        outputs["ndarray"] = _counted(plan, rows)
+    counter = WorkCounter()
+    outputs["row-loop"] = (counter, plan.execute_batch(list(rows), counter))
+    counter = WorkCounter()
+    block = frontier.rows_to_block(rows, len(plan.source_schema))
+    outputs["ndarray"] = (
+        counter, block_rows(*plan.execute_batch_ndarray(block, counter))
+    )
     counter = WorkCounter()
     outputs["scalar"] = (
         counter, [plan.execute(row, counter) for row in rows]
     )
     return outputs
-
-
-def _counted(plan, rows):
-    counter = WorkCounter()
-    return counter, plan.execute_batch(list(rows), counter)
 
 
 def test_midrun_interned_code_dangles_on_every_backend():
@@ -316,8 +356,6 @@ def test_generic_join_block_frontier_matches_list_path(instance):
         query, db = random_simple_key_workload(11)
         order = None
     else:
-        from repro.datagen.large import fdchain_order, large_fdchain_workload
-
         query, db = large_fdchain_workload(600, k=4)
         order = fdchain_order(4)
     with ndarray_forced("on"):
@@ -451,18 +489,6 @@ def test_decoded_lftj_joins_cross_type_infinities():
     assert len(out) == 1 and next(iter(out))[0] == 1
 
 
-def test_from_columns_refuses_desynced_store_on_dedup():
-    """Without ``distinct=True`` the constructor may dedup; the pre-dedup
-    column store must then NOT be installed (lazy transpose instead)."""
-    rel = Relation.from_columns("X", ("a", "b"), [(1, 1, 2), (5, 5, 6)])
-    assert rel.tuples == ((1, 5), (2, 6))
-    assert rel.columns() == ((1, 2), (5, 6))
-    distinct = Relation.from_columns(
-        "Y", ("a", "b"), [(1, 2), (5, 6)], distinct=True
-    )
-    assert distinct.cached_columns() == ((1, 2), (5, 6))
-
-
 def test_udf_steps_decode_only_masked_in_rows():
     """On the block backend a UDF runs once per *alive* row: rows dangled
     by an earlier guard step never evaluate the opaque predicate."""
@@ -483,9 +509,10 @@ def test_udf_steps_decode_only_masked_in_rows():
     a_dict = db.codec.dictionary("a")
     fresh = a_dict.encode("dangling")
     rows = [(a_dict.encode(2),), (fresh,), (a_dict.encode(3),)]
-    with ndarray_forced("on"):
-        counter = WorkCounter()
-        out = plan.execute_batch(rows, counter)
+    counter = WorkCounter()
+    out = block_rows(
+        *plan.execute_batch_ndarray(frontier.rows_to_block(rows, 1), counter)
+    )
     assert out[1] is None and out[0] is not None and out[2] is not None
     assert calls == [12, 13]  # the dangled row never reached the UDF
     # Charges: 3 rows at the guard step + 2 alive rows at the UDF step.

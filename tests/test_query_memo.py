@@ -12,7 +12,6 @@ stage.
 import importlib
 import sys
 from collections import OrderedDict
-from contextlib import nullcontext
 
 import pytest
 
@@ -257,12 +256,11 @@ def _databases(shape: str) -> Database:
 @pytest.mark.parametrize("engine,shape", READS)
 def test_cold_and_warm_reads_agree_on_every_stage(engine, shape):
     query = QUERIES[shape]
-    for label, mode in DEGRADATION_STAGES:
+    for label, min_rows in DEGRADATION_STAGES:
         db = _databases(shape)
         runs = []
         for _ in range(2):  # cold memo, then warm
-            override = frontier.mode_override(mode) if mode else nullcontext()
-            with override:
+            with frontier.min_rows_override(min_rows):
                 relation, algorithm, touched = _run_engine(engine, query, db)
             runs.append((canonical_rows(relation, query), algorithm, touched))
         assert runs[0] == runs[1], (label, engine, shape)

@@ -51,9 +51,9 @@ def test_rule_silent_on_ok_fixture(rule, stem):
 def test_knob_discipline_message_kinds():
     findings = run_rule("knob-discipline", FIXTURES / "knob_discipline_bad.py")
     messages = "\n".join(f.message for f in findings)
-    assert "raw environment read of REPRO_BATCH_NDARRAY_MIN;" in messages
-    assert "raw environment read of REPRO_BATCH_NDARRAY;" in messages
-    assert "raw environment read of REPRO_CHECK_DISTINCT" in messages
+    assert "raw environment read of REPRO_PLAN_CACHE_MAX;" in messages
+    assert "raw environment read of REPRO_CHECK_DISTINCT;" in messages
+    assert "raw environment read of REPRO_LP_BACKEND" in messages
     assert "undeclared knob REPRO_NO_SUCH_KNOB" in messages
     assert "retired knob REPRO_ADMIT_EXACT_MAX" in messages
 
@@ -94,8 +94,8 @@ def test_codegen_whitelist_is_path_scoped():
 def test_line_pragma_suppresses_only_its_line():
     source = (
         "import os\n"
-        "a = os.environ.get('REPRO_BATCH_NDARRAY')  # repro-lint: disable=knob-discipline\n"
-        "b = os.environ.get('REPRO_BATCH_NDARRAY_MIN')\n"
+        "a = os.environ.get('REPRO_CHECK_DISTINCT')  # repro-lint: disable=knob-discipline\n"
+        "b = os.environ.get('REPRO_PLAN_CACHE_MAX')\n"
     )
     findings = Analysis(["knob-discipline"]).run_modules(
         [ModuleInfo("x.py", source)]
@@ -107,8 +107,8 @@ def test_file_pragma_suppresses_everywhere():
     source = (
         "# repro-lint: disable-file=knob-discipline\n"
         "import os\n"
-        "a = os.environ.get('REPRO_BATCH_NDARRAY')\n"
-        "b = os.environ.get('REPRO_BATCH_NDARRAY_MIN')\n"
+        "a = os.environ.get('REPRO_CHECK_DISTINCT')\n"
+        "b = os.environ.get('REPRO_PLAN_CACHE_MAX')\n"
     )
     findings = Analysis(["knob-discipline"]).run_modules(
         [ModuleInfo("x.py", source)]
@@ -183,7 +183,7 @@ def test_committed_baseline_is_empty():
 def test_docs_matrix_in_sync_and_drift_detected():
     markdown = (REPO_ROOT / "PERFORMANCE.md").read_text(encoding="utf-8")
     assert config.check_docs(markdown) == []
-    drifted = markdown.replace("`REPRO_BATCH_NDARRAY_MIN` | int | `4096`", "`REPRO_BATCH_NDARRAY_MIN` | int | `1`")
+    drifted = markdown.replace("`REPRO_PLAN_CACHE_MAX` | int | `512`", "`REPRO_PLAN_CACHE_MAX` | int | `1`")
     assert config.check_docs(drifted)
     assert config.check_docs("no markers at all")
 

@@ -13,8 +13,8 @@ The robustness contract, asserted end to end:
   disarmed, the same service instance answers every request cleanly and
   bit-identically to the fault-free reference.
 
-The CI chaos smoke runs this module with ``REPRO_FAULTS`` forced on (and
-once more with ``REPRO_BATCH_NDARRAY=off``); locally the test arms its
+The CI chaos smoke runs this module with ``REPRO_FAULTS`` forced on,
+under two fault seeds; locally the test arms its
 own injector when the env knob is absent, so it never silently runs
 fault-free.
 """
