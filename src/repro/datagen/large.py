@@ -190,12 +190,14 @@ def large_fdchain_workload(
     over a ``Θ(n)`` composite domain); guard relations ``G_j`` realize
     the fd chain ``x → a → b → …`` as stored permutation tables; a
     selective terminal atom ``U(last, w)`` (``n/100`` pairs) keeps the
-    output small, so the run *is* the frontier: after two cheap choose
-    depths, every depth is FD-determined and the whole ``Θ(n)``-row
-    frontier flows through one ``GUARD_DENSE`` plan step per level —
-    ``np.take`` per level on codes (where raw values would pay ``n``
-    composite-key dict probes per level), then a final membership
-    verification against ``U``.  Use
+    output small, so the run *is* the frontier: the ``w`` choose depth
+    reads ``U``'s ``n/100`` rows, the ``x`` choose depth gathers the
+    ``Θ(n)``-row frontier from ``R``'s sorted join block as one int64
+    block, and then every depth is FD-determined and the block flows
+    through one ``GUARD_DENSE`` plan step per level — ``np.take`` per
+    level on codes (where raw values would pay ``n`` composite-key dict
+    probes per level), then a final membership verification against
+    ``U``.  Use
     ``order = ("w", "x", "a", "b", …)`` so the chain binds in fd order.
     """
     if not 1 <= k <= 20:

@@ -18,11 +18,13 @@ the engines' frontier seams share:
 * **dangling masks** — a block travels with an optional boolean mask
   (``None`` = every row alive); dead rows keep garbage cells that are
   never read;
-* **key joins** — multi-attribute guard probes and membership tests run
-  as sort/searchsorted joins over mixed-radix packed int64 keys (with a
-  lexicographic void-view fallback: rows cast to big-endian int64 and
-  reinterpreted as fixed-width byte strings compare exactly like the
-  corresponding key tuples, since codes are non-negative).
+* **key joins** — multi-attribute guard probes, membership tests and
+  generic join's choose depths (:func:`key_spans` /
+  :func:`expand_spans`) run as sort/searchsorted joins over mixed-radix
+  packed int64 keys (with a lexicographic void-view fallback: rows cast
+  to big-endian int64 and reinterpreted as fixed-width byte strings
+  compare exactly like the corresponding key tuples, since codes are
+  non-negative).
 
 Raw values are arbitrary Python objects and never enter a block.
 """
@@ -225,6 +227,31 @@ def block_isin(block, positions, struct):
     return hit
 
 
+def key_spans(struct, block, positions):
+    """``(lo, counts)``: the sorted rows matching ``block``'s
+    ``positions``-key row ``i`` are ``lo[i] : lo[i] + counts[i]`` of the
+    key-sorted structure (``counts[i] == 0`` on a miss)."""
+    kind, sorted_keys, _ = struct
+    if kind == "empty":
+        zeros = np.zeros(block.shape[0], dtype=np.int64)
+        return zeros, zeros
+    probes = _probe_array(struct, block, positions)
+    lo = np.searchsorted(sorted_keys, probes, side="left")
+    hi = np.searchsorted(sorted_keys, probes, side="right")
+    return lo, hi - lo
+
+
+def expand_spans(lo, counts):
+    """``(reps, gather, touched)`` for per-row spans ``lo[i] : lo[i] +
+    counts[i]``: row ``reps[j]`` owns sorted row ``gather[j]``, rows in
+    order and each span in order; ``touched`` is ``counts.sum()``."""
+    touched = int(counts.sum())
+    reps = np.repeat(np.arange(counts.shape[0]), counts)
+    shift = np.cumsum(counts) - counts
+    gather = np.repeat(lo - shift, counts) + np.arange(touched)
+    return reps, gather, touched
+
+
 def key_join(struct, block, positions):
     """The vectorized core of an index-nested-loops join.
 
@@ -238,17 +265,4 @@ def key_join(struct, block, positions):
     match count (the per-tuple counter charges, summed).
     """
     checkpoint()  # block-granularity deadline/fault check-in
-    kind, sorted_keys, _ = struct
-    n = block.shape[0]
-    if kind == "empty":
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, 0
-    probes = _probe_array(struct, block, positions)
-    lo = np.searchsorted(sorted_keys, probes, side="left")
-    hi = np.searchsorted(sorted_keys, probes, side="right")
-    counts = hi - lo
-    touched = int(counts.sum())
-    reps = np.repeat(np.arange(n), counts)
-    shift = np.cumsum(counts) - counts
-    gather = np.repeat(lo - shift, counts) + np.arange(touched)
-    return reps, gather, touched
+    return expand_spans(*key_spans(struct, block, positions))

@@ -7,12 +7,18 @@ paper): a variable functionally determined by the bound prefix is computed
 via the expansion procedure instead of enumerated — this prunes per-branch
 work but provably does not change the Ω(N²) worst case of Ex. 5.8.
 
-Prefix bindings are raw tuples over ``order[:depth]``, evaluated
+Prefix bindings are code rows over ``order[:depth]``, evaluated
 level-wise: the whole depth-d frontier extends to depth d+1 in one pass,
 so FD-determined variables bind through a single batched plan execution.
-Candidate indexes, verification keys, FD closures and expansion plans are
-derived once per depth and memoized per (query, order, database), and the
-hash indexes themselves are built on first probe — a frontier that dies
+A frontier is a list of tuples or, once large enough for the block
+executor (:func:`repro.engine.frontier.ndarray_engaged`), an int64 block
+that stays one to the terminal: determined runs extend it through fused
+plans, and a choose depth picks each prefix's candidates on it with
+searchsorted over the atoms' sorted join blocks — the same rows, order
+and ``tuples_touched`` as the tuple path's per-prefix loop.  Candidate
+indexes, verification keys, FD closures and expansion plans are derived
+once per depth and memoized per (query, order, database), and the
+indexes themselves are built on first probe — a frontier that dies
 early never pays for the depths below it.
 """
 
@@ -20,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from repro.engine import frontier as frontier_blocks
 from repro.engine.cancellation import checkpoint
@@ -53,12 +61,13 @@ def _access_paths(
     # Prefixes, candidate probes and verification all run on codes.
     relations = {atom.name: db.runtime(atom.name) for atom in query.atoms}
 
-    # Per-depth compiled access paths.  ``choose``: key positions in the
+    # Per-depth compiled access paths.  ``choose``: key getter over the
     # prefix + candidate-value position per atom containing the variable,
-    # keyed on the attrs bound *before* it.  ``verify``: the same per atom
-    # but with the variable itself bound.  The hash indexes themselves
-    # (slot 4 / 3) are deferred to the first probe at their depth, so a
-    # query whose frontier dies at depth d builds nothing below d.
+    # keyed on the attrs bound *before* it, and the key's prefix columns
+    # for blocks.  ``verify``: the same per atom but with the variable
+    # itself bound.  The hash indexes and key sets (slot 4 of both) are
+    # deferred to the first probe at their depth, so a query whose
+    # frontier dies at depth d builds nothing below d.
     choose_paths: list[list[list]] = []
     verify_paths: list[list[list]] = []
     determined: list[bool] = []
@@ -76,13 +85,15 @@ def _access_paths(
             battrs = tuple(
                 a for a in rel.schema if a in bound_set and a in atom.varset
             )
+            key = tuple(bound.index(a) for a in battrs)
             choose_atoms.append(
                 [
                     rel,
                     battrs,
-                    tuple_getter(bound.index(a) for a in battrs),
+                    tuple_getter(key),
                     rel.positions((var,))[0],
                     None,  # index, built on first probe
+                    key,  # prefix columns of the key, for blocks
                 ]
             )
             vattrs = tuple(
@@ -129,6 +140,89 @@ def _access_paths(
     return choose_paths, verify_paths, determined, plans, det_run, consistent
 
 
+def _choose_spans(block, paths, var: str):
+    """Each choose path's matches per prefix row of ``block``, and each
+    prefix's chosen path: ``(spans, choice, minima)``.
+
+    ``spans[j] = (lo, counts, values)``: path ``j``'s matches for prefix
+    ``i`` are ``values[lo[i] : lo[i] + counts[i]]``, in :meth:`index_on`
+    bucket order (``Relation.join_block`` sorts stably).  An empty-key
+    path matches its whole relation.  ``choice`` is each prefix's first
+    path of fewest matches — the row loop's strict ``<`` — and
+    ``minima`` its match count."""
+    n = block.shape[0]
+    spans = []
+    for path in paths:
+        rel, battrs = path[0], path[1]
+        if battrs:
+            struct, payload = rel.join_block(battrs, (var,))
+            lo, counts = frontier_blocks.key_spans(struct, block, path[5])
+            spans.append((lo, counts, payload[:, 0]))
+        else:
+            spans.append((
+                np.zeros(n, dtype=np.int64),
+                np.full(n, len(rel), dtype=np.int64),
+                np.asarray(rel.column_store()[path[3]], dtype=np.int64),
+            ))
+    if len(spans) == 1:
+        return spans, np.zeros(n, dtype=np.intp), spans[0][1]
+    counts = np.stack([span[1] for span in spans])
+    choice = counts.argmin(axis=0)
+    return spans, choice, counts[choice, np.arange(n)]
+
+
+def _choose_block(block, paths, verify, spans, choice, minima):
+    """One choose depth on an int64 prefix block: the row loop's output
+    rows, in its order.  Each prefix takes its chosen path's matches,
+    keeps the first occurrence of each value and verifies the extended
+    row against every atom on the variable — except the atom that
+    supplied every candidate, where the check holds by construction."""
+    checkpoint()  # block-granularity deadline/fault check-in
+    depth = block.shape[1]
+    # Candidate ``i`` is match ``offset[i]`` of prefix ``reps[i]``.
+    reps, offset, touched = frontier_blocks.expand_spans(
+        np.zeros_like(minima), minima
+    )
+    if not touched:
+        return np.empty((0, depth + 1), dtype=np.int64), 0
+    used = np.unique(choice[minima > 0]).tolist()
+    if len(used) == 1:
+        lo, _, values = spans[used[0]]
+        values = values[lo[reps] + offset]
+    else:
+        chosen = choice[reps]
+        values = np.empty(touched, dtype=np.int64)
+        for j in used:
+            rows = np.flatnonzero(chosen == j)
+            lo, _, column = spans[j]
+            values[rows] = column[lo[reps[rows]] + offset[rows]]
+    # A bucket repeats a value only when its atom has attributes beyond
+    # the bound key and the variable (relations are sets).
+    if any(len(paths[j][0].schema) > len(paths[j][1]) + 1 for j in used):
+        order = np.lexsort((values, reps))
+        sorted_reps, sorted_values = reps[order], values[order]
+        first = np.ones(touched, dtype=bool)
+        first[1:] = (sorted_reps[1:] != sorted_reps[:-1]) | (
+            sorted_values[1:] != sorted_values[:-1]
+        )
+        keep = np.zeros(touched, dtype=bool)
+        keep[order[first]] = True
+        reps, values = reps[keep], values[keep]
+    extended = np.empty((reps.shape[0], depth + 1), dtype=np.int64)
+    extended[:, :depth] = block[reps]
+    extended[:, depth] = values
+    keep = None
+    for j, path in enumerate(verify):
+        if used == [j]:
+            continue
+        keys = path[6]
+        if keys is None:
+            keys = path[6] = path[0].key_block(path[1])
+        hit = frontier_blocks.block_isin(extended, path[5], keys)
+        keep = hit if keep is None else keep & hit
+    return (extended if keep is None else extended[keep]), touched
+
+
 def generic_join(
     query: Query,
     db: Database,
@@ -172,15 +266,59 @@ def generic_join(
                 return False
         return True
 
+    def choose_rows(frontier: list, paths: list, depth: int):
+        """One choose depth on tuple prefixes: ``(next_frontier,
+        touched)``.  An empty-key path matches its whole relation, so it
+        counts by ``len`` and reads the rows only when chosen."""
+        next_frontier: list[tuple] = []
+        append = next_frontier.append
+        # Per-depth counter charges accumulate locally and post once —
+        # the total is bit-identical to the per-prefix ``add`` calls.
+        touched = 0
+        for prefix_i, prefix in enumerate(frontier):
+            if not prefix_i & 2047:  # re-check every 2048 prefixes
+                checkpoint()
+            # Choose the atom with the fewest matching extensions.
+            best = None
+            best_count = None
+            for path in paths:
+                if path[1]:
+                    index = path[4]
+                    if index is None:
+                        index = path[4] = path[0].index_on(path[1])
+                    count = len(index.get(path[2](prefix), ()))
+                else:
+                    count = len(path[0])
+                if best_count is None or count < best_count:
+                    best, best_count = path, count
+            if not best_count:
+                continue
+            matches = (
+                best[4].get(best[2](prefix), ()) if best[1] else best[0].tuples
+            )
+            touched += best_count
+            var_position = best[3]
+            seen: set = set()
+            for t in matches:
+                value = t[var_position]
+                if value in seen:
+                    continue
+                seen.add(value)
+                candidate = prefix + (value,)
+                if verify_binding(candidate, depth):
+                    append(candidate)
+        return next_frontier, touched
+
     # Level-wise evaluation: the prefix frontier for depth d+1 is computed
     # from the whole depth-d frontier, so FD-determined variables bind by
     # one batched plan execution instead of one call per prefix.  Child
     # order within a prefix matches the recursive formulation, so results
     # (and all counted work) are identical to the depth-first original.
     # A large frontier entering a run of two or more determined depths
-    # travels as an int64 block (``is_block``) across it: the plan runs
-    # on the block backend and verification probes sorted key blocks —
-    # rows re-tuple only at a data-dependent choose depth or the terminal.
+    # — or a choose depth that feeds one — becomes an int64 block
+    # (``is_block``) and stays one: plans run on the block backend,
+    # choose depths on sorted join blocks, verification probes sorted
+    # key blocks, and rows re-tuple only at the terminal decode.
     frontier: list[tuple] = [()]
     is_block = False
     skip_until = 0  # depths already executed by a fused segment plan
@@ -269,9 +407,6 @@ def generic_join(
                 if extended is not None and verify_binding(extended, depth)
             ]
             continue
-        if is_block:
-            frontier = [tuple(row) for row in frontier.tolist()]
-            is_block = False
         paths = choose_paths[depth]
         if not paths:
             # Variable in no atom: it must be FD-determined; oblivious
@@ -280,43 +415,31 @@ def generic_join(
                 f"variable {var!r} appears in no atom; "
                 "use fd_aware=True or the core algorithms"
             )
-        next_frontier: list[tuple] = []
-        append = next_frontier.append
-        # Per-depth counter charges accumulate locally and post once —
-        # the total is bit-identical to the per-prefix ``add`` calls.
-        touched = 0
-        for prefix_i, prefix in enumerate(frontier):
-            if not prefix_i & 2047:  # re-check every 2048 prefixes
-                checkpoint()
-            # Choose the atom with the fewest matching extensions.
-            best = None
-            best_count = None
-            for path in paths:
-                index = path[4]
-                if index is None:
-                    index = path[4] = path[0].index_on(path[1])
-                count = len(index.get(path[2](prefix), ()))
-                if best_count is None or count < best_count:
-                    best, best_count = path, count
-            matches = best[4].get(best[2](prefix), ())
-            if not matches:
-                continue
-            touched += len(matches)
-            var_position = best[3]
-            seen: set = set()
-            for t in matches:
-                value = t[var_position]
-                if value in seen:
-                    continue
-                seen.add(value)
-                candidate = prefix + (value,)
-                if verify_binding(candidate, depth):
-                    append(candidate)
+        chosen = None
+        if is_block:
+            chosen = _choose_spans(frontier, paths, var)
+        elif det_run[depth + 1] >= 2 and frontier_blocks.ndarray_engaged(
+            n * min(len(path[0]) for path in paths)
+        ):
+            # A choose depth feeding a determined run: count on a block,
+            # and keep it when the candidates are enough for blocks.
+            block = frontier_blocks.rows_to_block(frontier, depth)
+            if block is not None:
+                chosen = _choose_spans(block, paths, var)
+                if frontier_blocks.ndarray_engaged(int(chosen[2].sum())):
+                    frontier, is_block = block, True
+                else:
+                    chosen = None
+        if chosen is not None:
+            frontier, touched = _choose_block(
+                frontier, paths, verify_paths[depth], *chosen
+            )
+        else:
+            frontier, touched = choose_rows(frontier, paths, depth)
         stats.tuples_touched += touched
         stats.per_depth[depth] += touched
         if counter is not None and touched:
             counter.add(touched)
-        frontier = next_frontier
 
     if is_block:
         # Terminal re-tupling happens through the decode boundary below:

@@ -137,9 +137,10 @@ class Relation:
         ``tuples`` stays unset until first read, which builds it once
         from the codes (:class:`_UnbuiltRows`); after that it is a plain
         slot read.  ``len()``, :meth:`code_columns` and the array
-        readers (:meth:`key_block`, :meth:`join_block`, the sort-based
-        :meth:`index_on`) never build rows.  The array is made
-        read-only, because block seams hand out views of it.
+        readers (:meth:`key_block`, :meth:`join_block`, and
+        :meth:`key_set` while the rows are unbuilt) never build rows.
+        The array is made read-only, because block seams hand out views
+        of it.
         """
         rel = _UnbuiltRows.__new__(_UnbuiltRows)
         rel.name = name
@@ -202,7 +203,15 @@ class Relation:
         from operator import itemgetter
 
         positions = self.positions(key)
-        if len(positions) == 1:
+        if type(self) is _UnbuiltRows:
+            # Read the code array rather than build the rows.  Built rows
+            # are read instead: their key tuples share the rows' ints.
+            codes = self._codes
+            if len(positions) == 1:
+                keys = set(np.unique(codes[positions[0]]).tolist())
+            else:
+                keys = set(zip(*codes[list(positions)].tolist()))
+        elif len(positions) == 1:
             keys = set(map(itemgetter(positions[0]), self.tuples))
         else:
             keys = set(map(itemgetter(*positions), self.tuples))

@@ -69,14 +69,13 @@ class TestGenericJoin:
         )
         out, _ = generic_join(triangle, db)
         assert len(out) == 0
-        # Depth 0 (x) probes only the R/T choose indexes on the empty
-        # prefix; S — and every deeper or verify index — is never touched.
-        # The engine probes the active-plane relations (the encoded twins
-        # when dictionary encoding is on), so that is where the laziness
-        # is observable.
+        # Depth 0 (x) sizes R and T on the empty prefix by their lengths,
+        # so no index is built; S — and every deeper or verify index — is
+        # never touched.  The engine probes the encoded twins, so that is
+        # where the laziness is observable.
         assert db.runtime("S")._indexes == {}
-        assert set(db.runtime("R")._indexes) == {()}
-        assert set(db.runtime("T")._indexes) == {()}
+        assert db.runtime("R")._indexes == {}
+        assert db.runtime("T")._indexes == {}
 
     def test_fd_aware_binds_determined_variable(self):
         # y = f(x): fd-aware never enumerates y.

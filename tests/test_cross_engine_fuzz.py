@@ -146,3 +146,101 @@ def test_reference_join_equals_generic_join(instance):
     expected, _ = generic_join(query, db, fd_aware=True)
     got = reference_join(query, db).project(schema).tuples
     assert set(got) == set(expected.project(schema).tuples)
+
+
+# ----------------------------------------------------------------------
+# Block choose ≡ row choose
+# ----------------------------------------------------------------------
+
+@st.composite
+def choose_before_determined_instances(draw):
+    """A choose depth ``v`` followed by two determined depths
+    ``v → f → g`` (guards G1, G2, possibly partial), after 0–3 prefix
+    variables and before an optional trailing choose variable ``e``.
+    One to three atoms hold ``v`` over random subsets of the prefix, in
+    a random column order, over a tiny domain — so prefixes tie on their
+    counts and miss buckets.  An atom that also holds ``e`` repeats
+    ``(prefix, v)`` pairs; with ``e`` the frontier reaches its depth as
+    a block.  An optional terminal atom on ``g`` filters the run."""
+    d = draw(st.integers(2, 4))
+    cell = st.integers(0, d - 1)
+
+    def rows(width):
+        return draw(
+            st.sets(st.tuples(*[cell] * width), min_size=1, max_size=24)
+        )
+
+    prefix = ("p", "q", "r")[:draw(st.integers(0, 3))]
+    trailing = ("e",) if draw(st.booleans()) else ()
+    schemas, data = {}, {}
+    if prefix:
+        schemas["B"] = prefix
+        data["B"] = rows(len(prefix))
+    for i in range(draw(st.integers(1, 3))):
+        key = tuple(a for a in prefix if draw(st.integers(0, 2)))
+        extra = trailing if draw(st.booleans()) else ()
+        schemas[f"A{i}"] = tuple(draw(st.permutations(key + ("v",) + extra)))
+    if trailing and not any("e" in s for s in schemas.values()):
+        schemas["E"] = ("v", "e")
+    if draw(st.booleans()):
+        schemas["U"] = ("g",) + prefix[:1]
+    for name, schema in schemas.items():
+        data.setdefault(name, rows(len(schema)))
+    variables = prefix + ("v", "f", "g") + trailing
+    fds = FDSet([FD("v", "f"), FD("f", "g")], variables)
+    guards = [
+        Relation(
+            name, attrs,
+            {(x, draw(cell)) for x in range(d) if draw(st.integers(0, 3))},
+        )
+        for name, attrs in (("G1", ("v", "f")), ("G2", ("f", "g")))
+    ]
+    query = Query([Atom(name, attrs) for name, attrs in schemas.items()], fds)
+    db = Database(
+        [Relation(name, schemas[name], data[name]) for name in schemas]
+        + guards,
+        fds=fds,
+    )
+    return query, db, variables
+
+
+@pytest.mark.parametrize("structure", ["packed", "void"])
+@settings(max_examples=150, deadline=None)
+@given(choose_before_determined_instances())
+def test_block_choose_equals_row_choose(structure, instance):
+    """A choose depth run on int64 blocks emits the row loop's rows in
+    the row loop's order and charges identical work, on every key
+    structure (``void`` forces the packing-overflow fallback), and both
+    equal the reference join."""
+    import importlib
+    from unittest import mock
+
+    from repro.engine import frontier
+
+    gj = importlib.import_module("repro.engine.generic_join")
+
+    query, db, order = instance
+    depth_v = order.index("v")
+    block_calls = []
+    choose_block = gj._choose_block
+
+    def spy(*args):
+        block_calls.append(1)
+        return choose_block(*args)
+
+    runs = {}
+    with mock.patch.object(gj, "_choose_block", spy), mock.patch.object(
+        frontier, "_pack_radixes",
+        (lambda block: None) if structure == "void" else frontier._pack_radixes,
+    ):
+        for min_rows in (1, None):
+            block_calls.clear()
+            with frontier.min_rows_override(min_rows):
+                out, stats = generic_join(query, db, order=order, fd_aware=True)
+            runs[min_rows] = (out.tuples, stats.tuples_touched, stats.per_depth)
+            # Blocks whenever any candidate reaches v; never without them.
+            if min_rows is None or stats.per_depth[depth_v]:
+                assert bool(block_calls) == (min_rows == 1)
+    assert runs[1] == runs[None]
+    expected = reference_join(query, db).project(order).tuples
+    assert set(runs[1][0]) == set(expected)

@@ -449,8 +449,9 @@ def test_compaction_by_renumbering_equals_a_full_re_encode():
 
 
 def test_cold_fdchain_query_leaves_guard_twins_without_rows():
-    """The FD-chain guards G0–G7 are only sized and read through their
-    code columns: a cold query builds rows for R and U alone."""
+    """The FD-chain guards G0–G7 and R are only sized and read through
+    their code columns: a cold query builds rows for U alone, and R's
+    choose depth runs on its sorted join block, not a hash index."""
     from repro.datagen.large import fdchain_order, large_fdchain_workload
     from repro.engine.generic_join import generic_join
     from repro.serve.admission import certified_bound
@@ -460,4 +461,5 @@ def test_cold_fdchain_query_leaves_guard_twins_without_rows():
     out, stats = generic_join(query, db, order=fdchain_order(), fd_aware=True)
     assert len(out) and stats.tuples_touched
     built = {name for name in db.relations if _rows_built(db.runtime(name))}
-    assert built == {"R", "U"}
+    assert built == {"U"}
+    assert db.runtime("R")._indexes == {}

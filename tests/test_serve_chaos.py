@@ -19,6 +19,8 @@ own injector when the env knob is absent, so it never silently runs
 fault-free.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,12 @@ from repro import config
 from repro.engine.cancellation import Deadline, checkpoint_scope
 from repro.engine.expansion_plan import GUARD, ExpansionPlan
 from repro.engine.ops import WorkCounter
-from repro.errors import QueryTimeout, ReproError, ServiceOverloaded
+from repro.errors import (
+    EngineFault,
+    QueryTimeout,
+    ReproError,
+    ServiceOverloaded,
+)
 from repro.serve.faults import FaultInjector, PoisonedValue, poison_codec
 from repro.serve.workloads import (
     build_demo_service,
@@ -85,9 +92,26 @@ def allowed_values(i: int) -> set[int]:
     return set(range(lo, hi)) | set(range(2 * lo, 2 * (hi - 1) + 1))
 
 
+def reads_poison(ctx: dict) -> bool:
+    """Did a stage of this typed failure die on the poisoned entry (at
+    the decode boundary, or in a UDF over the poisoned value)?"""
+    return any(
+        "poisoned codec entry" in absorbed["message"]
+        or "PoisonedValue" in absorbed["message"]
+        for absorbed in ctx.get("absorbed", ())
+    )
+
+
 def test_chaos_soak_every_query_correct_or_typed():
     requests = demo_requests(tenants=N_TENANTS, rounds=SOAK_ROUNDS, seed=11)
     digests = reference_digests(requests)
+    # The poison victim: the tenant0 ``x`` value in the most answers.
+    victim = Counter(
+        row[0]
+        for request in requests
+        if request["tenant"] == tenant_name(0)
+        for row in digests[request_key(request)]
+    ).most_common(1)[0][0]
 
     injector = chaos_injector()
     service = build_demo_service(
@@ -97,43 +121,55 @@ def test_chaos_soak_every_query_correct_or_typed():
         faults=injector,
         # Below the ~79-value steady-state domain, so compaction fires on
         # every idle window — the soak proves compaction is safe under
-        # concurrent traffic (and may heal the poisoned entry below).
+        # concurrent traffic.
         dictionary_cap=60,
     )
-    outcomes = {"ok": 0, "degraded": 0, "typed": 0, "overload": 0}
+    outcomes = {"ok": 0, "degraded": 0, "typed": 0, "overload": 0, "poisoned": 0}
+
+    def settle(request, future):
+        try:
+            # The hard no-hang bound: a stuck worker fails the test.
+            result = future.result(timeout=RESULT_TIMEOUT_S)
+        except ReproError as err:
+            # Clean typed failure: machine-readable context, correct
+            # tenant attribution, never a bare string-match error.
+            ctx = err.context()
+            assert ctx["tenant"] == request["tenant"]
+            assert isinstance(ctx["retryable"], bool)
+            outcomes["typed"] += 1
+            outcomes["poisoned"] += reads_poison(ctx)
+            return
+        # Any non-ReproError exception propagates and fails the test:
+        # that is the "no unclassified errors" gate.
+        assert result.rows == digests[request_key(request)], (
+            f"wrong answer under chaos for {request_key(request)} "
+            f"via {result.backend}"
+        )
+        outcomes["ok"] += 1
+        if result.degraded:
+            outcomes["degraded"] += 1
+
     with service:
         futures = []
         for index, request in enumerate(requests):
             if index == len(requests) // 3:
-                # Mid-soak poison: corrupt a tenant0 dictionary entry.
-                # Encoded stages on affected queries die at the decode
-                # boundary and fall back; a compaction may heal it.
-                poison_codec(service.tenant(tenant_name(0)).codec, "x")
+                # Mid-soak poison, planted on an idle service so the rest
+                # of the soak runs into it: corrupt the victim's entry.
+                # Every stage of a query that reads it dies on it, so the
+                # query ends in a typed fault.
+                for pending in futures:
+                    settle(*pending)
+                futures.clear()
+                codec = service.tenant(tenant_name(0)).codec
+                code, original = poison_codec(
+                    codec, "x", codec.dictionaries["x"].values.index(victim)
+                )
             try:
                 futures.append((request, service.submit(**request)))
             except ServiceOverloaded:
                 outcomes["overload"] += 1
-        for request, future in futures:
-            try:
-                # The hard no-hang bound: a stuck worker fails the test.
-                result = future.result(timeout=RESULT_TIMEOUT_S)
-            except ReproError as err:
-                # Clean typed failure: machine-readable context, correct
-                # tenant attribution, never a bare string-match error.
-                ctx = err.context()
-                assert ctx["tenant"] == request["tenant"]
-                assert isinstance(ctx["retryable"], bool)
-                outcomes["typed"] += 1
-                continue
-            # Any non-ReproError exception propagates and fails the test:
-            # that is the "no unclassified errors" gate.
-            assert result.rows == digests[request_key(request)], (
-                f"wrong answer under chaos for {request_key(request)} "
-                f"via {result.backend}"
-            )
-            outcomes["ok"] += 1
-            if result.degraded:
-                outcomes["degraded"] += 1
+        for pending in futures:
+            settle(*pending)
 
         # The storm actually happened (otherwise this test proves nothing).
         assert sum(injector.fired.values()) > 0 or outcomes["overload"] > 0
@@ -158,16 +194,34 @@ def test_chaos_soak_every_query_correct_or_typed():
                 for row in rows:
                     assert all(v in legal for v in row)
 
-        # ---- serviceable after the storm ----------------------------
+        # ---- the poison path ran ------------------------------------
         injector.disarm()
+        if service.tenant(tenant_name(0)).codec is codec:
+            # No compaction rebuilt the codec, so the poison outlived the
+            # storm: a query that reads it ends typed, then the entry is
+            # restored.
+            reader = next(
+                r for r in requests
+                if r["tenant"] == tenant_name(0) and r["database"] == "main"
+                and any(row[0] == victim for row in digests[request_key(r)])
+            )
+            with pytest.raises(EngineFault) as excinfo:
+                service.execute(
+                    reader["tenant"], reader["database"], reader["query"],
+                    engine="generic",
+                )
+            assert excinfo.value.stage == "exhausted"
+            outcomes["poisoned"] += reads_poison(excinfo.value.context())
+            codec.dictionaries["x"].values[code] = original
+        assert outcomes["poisoned"] > 0, "no query read the poisoned value"
+
+        # ---- serviceable after the storm ----------------------------
         for request in {request_key(r): r for r in requests}.values():
             result = service.execute(
                 request["tenant"], request["database"], request["query"],
                 engine="generic",
             )
             assert result.rows == digests[request_key(request)]
-        # tenant0's poison either got compacted away or still forces the
-        # decoded fallback — both end in correct answers (just asserted);
         # tenant1 must have been untouched by tenant0's poison.
         assert not any(
             isinstance(v, PoisonedValue)
