@@ -245,9 +245,7 @@ def chain_algorithm(
             )
             if block is None:
                 return False
-            ext, keep = plan.execute_batch_ndarray(block, counter)
-            if keep is not None:
-                ext = ext[keep]
+            ext, _ = plan.execute_batch_ndarray(block, counter)
             cand_positions = list(plan.positions(ci_sorted))
             for info in infos:
                 if info is chosen or not ext.shape[0]:
@@ -265,7 +263,7 @@ def chain_algorithm(
                 if not ext.shape[0]:
                     continue
                 info_plan = ensure_plan(info)
-                rebuilt, rb_keep = info_plan.execute_batch_ndarray(
+                rebuilt, rebuilt_alive = info_plan.execute_batch_ndarray(
                     np.concatenate(
                         (
                             ext[:, :n_prev],
@@ -277,11 +275,9 @@ def chain_algorithm(
                 )
                 ok = (
                     rebuilt[:, list(info_plan.positions(ci_sorted))]
-                    == ext[:, cand_positions]
+                    == ext[rebuilt_alive][:, cand_positions]
                 ).all(axis=1)
-                if rb_keep is not None:
-                    ok &= rb_keep
-                ext = ext[ok]
+                ext = ext[rebuilt_alive[ok]]
             for candidate in map(tuple, ext[:, cand_positions].tolist()):
                 next_frontier[candidate] = None
             return True

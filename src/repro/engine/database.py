@@ -580,10 +580,8 @@ class Database:
         plan = self.expansion_plan(source_schema, target)
         out_positions = list(plan.positions(out_schema))
         if plan.steps:
-            out, mask = plan.execute_batch_ndarray(block, counter)
-            if mask is not None:
-                out = out[mask]
-            out = out[:, out_positions]
+            rows, _ = plan.execute_batch_ndarray(block, counter)
+            out = rows[:, out_positions]
         elif out_positions == list(range(block.shape[1])):
             out = block
         else:

@@ -198,7 +198,20 @@ class Codec:
     def decode_tuples(
         self, schema: Sequence[str], rows: Iterable[Sequence]
     ) -> list[tuple]:
+        """Code rows → value tuples.  ``rows`` is an iterable of code
+        rows or an ``(n, len(schema))`` int64 block; a block decodes
+        column-wise (one C-level ``map`` per column, then ``zip``)."""
         tables = [self.dictionary(a).values for a in schema]
+        if isinstance(rows, np.ndarray) and tables:
+            columns = rows.T.tolist()
+            return list(
+                zip(
+                    *(
+                        map(values.__getitem__, column)
+                        for values, column in zip(tables, columns)
+                    )
+                )
+            )
         # Unrolled small widths: result decoding is on the hot boundary
         # for large outputs, and the generic per-cell genexpr costs ~3x.
         if len(tables) == 2:

@@ -37,7 +37,9 @@ at least ``frontier.NDARRAY_MIN_ROWS`` rows hands an int64 block
 (:mod:`repro.engine.frontier`) to ``execute_batch_ndarray`` instead: the
 plan's generated pipeline from :mod:`repro.engine.fused` (dense gathers
 composed across consecutive guard steps, sort/searchsorted key joins,
-UDFs on masked-in rows only).  Both executors charge identical counts.
+UDFs on alive rows only, the caller's membership checks, and columns
+gathered for the surviving rows only).  Both executors charge identical
+counts.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class ExpansionPlan:
 
     __slots__ = (
         "source_schema", "out_schema", "steps", "_positions",
-        "execute", "_execute_batch_rows", "_nd_specs", "_pipeline",
+        "execute", "_execute_batch_rows", "_nd_specs", "_pipelines",
     )
 
     def __init__(
@@ -155,7 +157,9 @@ class ExpansionPlan:
         self.execute = self._compile()
         self._execute_batch_rows = self._compile_batch()
         self._nd_specs = None  # ndarray step specs, compiled on first use
-        self._pipeline = None  # the fused pipeline, compiled on first use
+        # Fused pipelines per check-position signature, compiled on
+        # first use.
+        self._pipelines: dict = {}
 
     def positions(self, attrs: Sequence[str]) -> tuple[int, ...]:
         """Positions of ``attrs`` in :attr:`out_schema`."""
@@ -335,35 +339,48 @@ class ExpansionPlan:
         self._nd_specs = specs = tuple(built)
         return specs
 
-    def execute_batch_ndarray(self, block, counter=None, step_alive=None):
+    def execute_batch_ndarray(
+        self, block, counter=None, step_alive=None, checks=()
+    ):
         """Run the plan over an ``(n, len(source_schema))`` int64 frontier
-        block.
+        block, then the membership ``checks``.
 
-        Returns ``(out, mask)``: ``out`` is the ``(n, len(out_schema))``
-        int64 result block, ``mask`` the alive-row flags (``None`` = no
-        row dangled).  Dead rows keep garbage in their appended cells and
-        must never be read, though every written cell is per-row
-        deterministic (dead rows gather slot-0/clipped images like any
-        other).  Dense guard steps gather through their flat table
-        (out-of-range codes — values interned after the plan compiled —
-        are misses); sparse guard steps run sort/searchsorted key joins
-        on sorted key structures; UDF steps decode and evaluate only the
-        masked-in rows.  Counter
-        totals are bit-identical to the row-loop backend: each step
-        charges exactly the rows alive when it runs.  ``step_alive``
-        (optional list) receives each step's alive-row count (0 for
-        steps short-circuited by a dead frontier).
+        ``checks`` is a sequence of ``(positions, key_struct)`` pairs: a
+        row survives check ``(positions, struct)`` when its
+        ``positions`` columns (of :attr:`out_schema`) form a key of the
+        sorted key structure ``struct``
+        (:func:`repro.engine.frontier.sorted_key_block`).
 
-        The whole spec list runs as the plan's generated pipeline
+        Returns ``(rows, alive)``: ``rows`` is the ``(m,
+        len(out_schema))`` int64 block of the rows that survive every
+        step and every check, and ``alive`` their input row indexes
+        (ascending, as ``np.flatnonzero``).  Dense guard steps gather
+        through their flat table (out-of-range codes — values interned
+        after the plan compiled — are misses); sparse guard steps run
+        sort/searchsorted key joins on sorted key structures; UDF steps
+        decode and evaluate only the rows still alive.  Counter totals
+        are bit-identical to the row-loop backend: each step charges
+        exactly the rows alive when it runs, and checks charge nothing.
+        ``step_alive`` (optional list) receives each step's alive-row
+        count (0 for steps short-circuited by a dead frontier), counted
+        before the checks.
+
+        The whole spec list and the checks run as one generated pipeline
         (:func:`repro.engine.fused.compile_pipeline`), with consecutive
-        dense gathers composed into fused tables, compiled on first use.
+        dense gathers composed into fused tables, compiled on first use
+        per check-position signature; the key structures are arguments.
         Every block caller (the chain/CSMA/SMA/generic seams and
-        ``Database.expand_rows_relation``) goes through this one method.
+        ``Database.expand_block_relation``) goes through this one method.
         """
-        pipeline = self._pipeline
+        signature = tuple(tuple(positions) for positions, _ in checks)
+        pipeline = self._pipelines.get(signature)
         if pipeline is None:
-            pipeline = self._pipeline = _fused.compile_pipeline(self)
-        return pipeline(block, counter, step_alive)
+            pipeline = self._pipelines[signature] = _fused.compile_pipeline(
+                self, signature
+            )
+        return pipeline(
+            block, counter, step_alive, tuple(struct for _, struct in checks)
+        )
 
 
 class RelationExpansionPlan:

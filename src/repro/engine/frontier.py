@@ -15,16 +15,19 @@ the engines' frontier seams share:
   harness);
 * **blocks** — ``rows_to_block`` / ``columns_to_block`` convert Python
   tuple frontiers and column stores into int64 matrices at the seams;
-* **dangling masks** — a block travels with an optional boolean mask
-  (``None`` = every row alive); dead rows keep garbage cells that are
-  never read;
-* **key joins** — multi-attribute guard probes, membership tests and
-  generic join's choose depths (:func:`key_spans` /
-  :func:`expand_spans`) run as sort/searchsorted joins over mixed-radix
-  packed int64 keys (with a lexicographic void-view fallback: rows cast
-  to big-endian int64 and reinterpreted as fixed-width byte strings
-  compare exactly like the corresponding key tuples, since codes are
-  non-negative).
+* **surviving rows** — the block executor returns the rows that
+  survive every step and check, with their input row indexes; no block
+  carries dead rows between seams;
+* **key joins** — multi-attribute guard probes and generic join's
+  choose depths (:func:`key_spans` / :func:`expand_spans`) run as
+  sort/searchsorted joins over mixed-radix packed int64 keys (with a
+  lexicographic void-view fallback: rows cast to big-endian int64 and
+  reinterpreted as fixed-width byte strings compare exactly like the
+  corresponding key tuples, since codes are non-negative);
+* **membership** — :func:`key_isin` / :func:`block_isin` answer
+  "is this row's key stored?" through a transient bitmap over the key
+  range when that range is small next to the probe and key counts
+  (numpy's ``isin`` table kind), else by searchsorted.
 
 Raw values are arbitrary Python objects and never enter a block.
 """
@@ -155,17 +158,18 @@ def _pack_build(block, radixes):
     return packed
 
 
-def _pack_probe(block, positions, radixes):
-    """Probe-side packing under the build side's radixes: any component
-    outside its radix (a code the build side has never seen) packs to
-    the impossible key ``-1`` — an automatic miss, never a collision."""
-    cols = [block[:, p] for p in positions]
-    packed = cols[0].astype(np.int64, copy=True)
-    invalid = cols[0] >= radixes[0]
+def _pack_probe(cols, radixes):
+    """Probe-side packing of key columns under the build side's radixes:
+    any component outside its radix (a code the build side has never
+    seen) packs to the impossible key ``-1`` — an automatic miss, never a
+    collision."""
+    packed = np.array(cols[0], dtype=np.int64)
+    invalid = packed >= radixes[0]
     for j in range(1, len(cols)):
+        col = np.ascontiguousarray(cols[j])
         packed *= radixes[j]
-        packed += cols[j]
-        invalid |= cols[j] >= radixes[j]
+        packed += col
+        invalid |= col >= radixes[j]
     if invalid.any():
         packed[invalid] = -1
     return packed
@@ -196,35 +200,59 @@ def sorted_key_block(block):
     return ("void", voids[order], None), order
 
 
-def _probe_array(struct, block, positions):
+def _probe_array(struct, cols):
+    """The probes of key columns ``cols`` (1-D, one per key column) in
+    ``struct``'s key space."""
     kind, _, radixes = struct
     if kind == "int":
-        return np.ascontiguousarray(block[:, positions[0]])
+        return np.ascontiguousarray(cols[0])
     if kind == "packed":
-        return _pack_probe(block, positions, radixes)
-    return void_view(block[:, list(positions)])
+        return _pack_probe(cols, radixes)
+    return void_view(np.column_stack(cols))
 
 
-def key_hits(struct, block, positions):
-    """``(hit, slot)``: per-row membership of ``block``'s ``positions``
-    key in the sorted structure, and the first matching sorted index
-    (clipped; only meaningful where ``hit``)."""
-    kind, sorted_keys, _ = struct
-    n = block.shape[0]
-    if kind == "empty":
-        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
-    probes = _probe_array(struct, block, positions)
+def _search(sorted_keys, probes):
     nk = sorted_keys.shape[0]
     idx = np.searchsorted(sorted_keys, probes)
     slot = np.minimum(idx, nk - 1)
     return (idx < nk) & (sorted_keys[slot] == probes), slot
 
 
+def key_hits(struct, cols):
+    """``(hit, slot)``: per-row membership of the key whose columns are
+    ``cols`` in the sorted structure, and the first matching sorted index
+    (clipped; only meaningful where ``hit``)."""
+    kind, sorted_keys, _ = struct
+    if kind == "empty":
+        n = cols[0].shape[0]
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    return _search(sorted_keys, _probe_array(struct, cols))
+
+
+def key_isin(struct, cols):
+    """Membership (bool per row) of the key whose columns are ``cols``.
+
+    On ``int``/``packed`` structures whose key range is at most 6x the
+    probe and key counts together (numpy's own memory rule for its
+    table kind), a transient bitmap over the key range answers every
+    probe with one gather — out-of-range probes, ``-1`` included, miss.
+    Wider key spaces binary-search as :func:`key_hits` does."""
+    kind, sorted_keys, _ = struct
+    if kind == "empty":
+        return np.zeros(cols[0].shape[0], dtype=bool)
+    probes = _probe_array(struct, cols)
+    if kind != "void":
+        span = int(sorted_keys[-1]) - int(sorted_keys[0])
+        if span <= 6 * (probes.shape[0] + sorted_keys.shape[0]):
+            return np.isin(probes, sorted_keys, kind="table")
+    return _search(sorted_keys, probes)[0]
+
+
 def block_isin(block, positions, struct):
     """Membership of ``block``'s ``positions``-key rows in a sorted key
-    structure built by :func:`sorted_key_block` (bool per row)."""
-    hit, _ = key_hits(struct, block, positions)
-    return hit
+    structure built by :func:`sorted_key_block` (bool per row; see
+    :func:`key_isin`)."""
+    return key_isin(struct, [block[:, p] for p in positions])
 
 
 def key_spans(struct, block, positions):
@@ -235,7 +263,7 @@ def key_spans(struct, block, positions):
     if kind == "empty":
         zeros = np.zeros(block.shape[0], dtype=np.int64)
         return zeros, zeros
-    probes = _probe_array(struct, block, positions)
+    probes = _probe_array(struct, [block[:, p] for p in positions])
     lo = np.searchsorted(sorted_keys, probes, side="left")
     hi = np.searchsorted(sorted_keys, probes, side="right")
     return lo, hi - lo

@@ -13,9 +13,11 @@ so FD-determined variables bind through a single batched plan execution.
 A frontier is a list of tuples or, once large enough for the block
 executor (:func:`repro.engine.frontier.ndarray_engaged`), an int64 block
 that stays one to the terminal: determined runs extend it through fused
-plans, and a choose depth picks each prefix's candidates on it with
-searchsorted over the atoms' sorted join blocks — the same rows, order
-and ``tuples_touched`` as the tuple path's per-prefix loop.  Candidate
+plans whose pipelines also run the depth's verification, so only
+verified rows are gathered; a choose depth picks each prefix's
+candidates on it with searchsorted over the atoms' sorted join blocks —
+the same rows, order and ``tuples_touched`` as the tuple path's
+per-prefix loop; and the terminal block decodes column-wise.  Candidate
 indexes, verification keys, FD closures and expansion plans are derived
 once per depth and memoized per (query, order, database), and the
 indexes themselves are built on first probe — a frontier that dies
@@ -266,6 +268,18 @@ def generic_join(
                 return False
         return True
 
+    def block_checks(depth: int) -> list:
+        """Verification at ``depth`` as block membership checks: each
+        atom's key columns and its sorted key block, built on first
+        use."""
+        checks = []
+        for path in verify_paths[depth]:
+            keys = path[6]
+            if keys is None:
+                keys = path[6] = path[0].key_block(path[1])
+            checks.append((path[5], keys))
+        return checks
+
     def choose_rows(frontier: list, paths: list, depth: int):
         """One choose depth on tuple prefixes: ``(next_frontier,
         touched)``.  An empty-key path matches its whole relation, so it
@@ -353,9 +367,11 @@ def generic_join(
                 # composed to a single gather) instead of one plan per
                 # depth.  Only the segment's last depth may carry
                 # verification (intermediate verify would interleave
-                # filtering with plan steps), and the segment is the
-                # concatenation of the per-depth single-step plans, so
-                # per-depth stats/counter charges stay bit-identical —
+                # filtering with plan steps); it runs as the pipeline's
+                # membership checks, before the survivors' columns are
+                # gathered.  The segment is the concatenation of the
+                # per-depth single-step plans, so per-depth
+                # stats/counter charges stay bit-identical —
                 # ``step_alive[j]`` is exactly the frontier size the
                 # per-depth path would have seen at ``depth + j``.
                 seg = 1
@@ -371,8 +387,9 @@ def generic_join(
                 )
                 if seg_plan is not None:
                     step_alive: list[int] = []
-                    extended, keep = seg_plan.execute_batch_ndarray(
-                        frontier, counter, step_alive
+                    frontier, _ = seg_plan.execute_batch_ndarray(
+                        frontier, counter, step_alive,
+                        block_checks(depth + seg - 1),
                     )
                     for j in range(1, seg):
                         alive = step_alive[j]
@@ -380,25 +397,11 @@ def generic_join(
                         stats.tuples_touched += alive
                         if counter is not None and alive:
                             counter.add(alive)
-                    for path in verify_paths[depth + seg - 1]:
-                        keys = path[6]
-                        if keys is None:
-                            keys = path[6] = path[0].key_block(path[1])
-                        hit = frontier_blocks.block_isin(
-                            extended, path[5], keys
-                        )
-                        keep = hit if keep is None else keep & hit
-                    frontier = extended if keep is None else extended[keep]
                     skip_until = depth + seg
                     continue
-                extended, keep = plan.execute_batch_ndarray(frontier, counter)
-                for path in verify_paths[depth]:
-                    keys = path[6]
-                    if keys is None:
-                        keys = path[6] = path[0].key_block(path[1])
-                    hit = frontier_blocks.block_isin(extended, path[5], keys)
-                    keep = hit if keep is None else keep & hit
-                frontier = extended if keep is None else extended[keep]
+                frontier, _ = plan.execute_batch_ndarray(
+                    frontier, counter, None, block_checks(depth)
+                )
                 continue
             # The plan appends exactly {var}: extended IS prefix + (value,).
             frontier = [
@@ -441,12 +444,15 @@ def generic_join(
         if counter is not None and touched:
             counter.add(touched)
 
-    if is_block:
-        # Terminal re-tupling happens through the decode boundary below:
-        # the block rows feed the consistency filter / decoder as lists.
+    if is_block and consistent is not None:
         frontier = frontier.tolist()
     if consistent is not None:
         frontier = [t for t in frontier if consistent(t)]
-    out = Relation("Q", order, db.decode_tuples(order, frontier))
+    # Terminal blocks decode column-wise.  Rows are distinct by
+    # provenance: each depth extends a prefix by distinct values, and
+    # decoding is injective.
+    out = Relation(
+        "Q", order, db.decode_tuples(order, frontier), distinct=True
+    )
     stats.intermediate_peak = len(out)
     return out, stats

@@ -86,15 +86,14 @@ def ndarray_forced(mode: str):
     return frontier.min_rows_override({"on": 1, "off": None}[mode])
 
 
-def block_rows(block, mask) -> list:
-    """Block + dangling mask → the aligned tuple list ``execute_batch``
-    returns (``None`` marks dangling rows)."""
-    rows = list(map(tuple, block.tolist()))
-    if mask is None:
-        return rows
-    return [
-        row if alive else None for row, alive in zip(rows, mask.tolist())
-    ]
+def block_rows(rows, alive, n: int) -> list:
+    """Surviving rows + their input indexes (``execute_batch_ndarray``'s
+    ``(rows, alive)``) over an ``n``-row input → the aligned tuple list
+    ``execute_batch`` returns (``None`` marks dangling rows)."""
+    out: list = [None] * n
+    for i, row in zip(alive.tolist(), rows.tolist()):
+        out[i] = tuple(row)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +476,9 @@ def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
             if executor == "row-loop":
                 out = plan.execute_batch(enc_rows, counter)
             else:
-                out = block_rows(*plan.execute_batch_ndarray(block, counter))
+                out = block_rows(
+                    *plan.execute_batch_ndarray(block, counter), len(rows)
+                )
             decoded = [
                 None if r is None else codec.decode_row(plan.out_schema, r)
                 for r in out
@@ -487,6 +488,50 @@ def assert_batch_backend_equivalence(db, rng: random.Random) -> None:
                 f"{name}: batch[{executor}] counts "
                 f"{counter.tuples_touched} != {ref_counter.tuples_touched}"
             )
+
+        # Membership checks inside the pipeline ≡ the row-loop's output
+        # filtered by key-set membership; checks charge nothing.
+        checks, members = _random_checks(db, plan, rng)
+        expected = [
+            r if r is not None and all(
+                (r[positions[0]] if len(positions) == 1
+                 else tuple(r[p] for p in positions)) in keys
+                for positions, keys in members
+            ) else None
+            for r in plan.execute_batch(enc_rows)
+        ]
+        counter = WorkCounter()
+        got = block_rows(
+            *plan.execute_batch_ndarray(block, counter, None, checks),
+            len(rows),
+        )
+        assert got == expected, f"{name}: block checks {members} diverge"
+        assert counter.tuples_touched == ref_counter.tuples_touched, (
+            f"{name}: block checks count {counter.tuples_touched} "
+            f"!= {ref_counter.tuples_touched}"
+        )
+
+
+def _random_checks(db, plan, rng: random.Random):
+    """0-2 random membership checks for ``plan``'s output rows: a stored
+    relation's key columns, probed on the output columns of the same
+    attributes when the plan has them all, else on random ones.
+    Returns the checks (``(positions, key_block)``) and their key-set
+    oracles (``(positions, key_set)``)."""
+    stored = [name for name, rel in db.relations.items() if rel.schema]
+    checks, members = [], []
+    width = len(plan.out_schema)
+    for _ in range(rng.randint(0, 2)):
+        other = db.runtime(rng.choice(stored))
+        count = rng.randint(1, min(width, len(other.schema)))
+        attrs = tuple(rng.sample(other.schema, count))
+        if set(attrs) <= set(plan.out_schema) and rng.random() < 0.7:
+            positions = plan.positions(attrs)
+        else:
+            positions = tuple(rng.sample(range(width), len(attrs)))
+        checks.append((positions, other.key_block(attrs)))
+        members.append((positions, other.key_set(attrs)))
+    return checks, members
 
 
 def lp_engine_work_profile(query, db) -> dict[str, int | None]:

@@ -62,7 +62,8 @@ def _chain_db(k: int = 3, size: int = 8) -> Database:
 
 def _run_against_row_loop(plan, block):
     """Run ``block`` through the block executor and the row-loop oracle;
-    assert they agree and return ``(mask, step_alive)``.
+    assert they agree and return ``(mask, step_alive)``, ``mask`` the
+    alive-row flags rebuilt from the returned row indexes.
 
     Alive rows must equal the row-loop's rows, dead rows must be exactly
     its ``None`` rows, and the counter totals must match.  Each step
@@ -70,19 +71,21 @@ def _run_against_row_loop(plan, block):
     sum to the total."""
     counter = WorkCounter()
     step_alive: list[int] = []
-    out, mask = plan.execute_batch_ndarray(
+    out, alive = plan.execute_batch_ndarray(
         block.copy(), counter, step_alive
     )
     row_counter = WorkCounter()
     expected = plan._execute_batch_rows(
         [tuple(row) for row in block.tolist()], row_counter
     )
-    alive = [True] * len(expected) if mask is None else mask.tolist()
-    for row, is_alive, want in zip(out.tolist(), alive, expected):
+    mask = np.zeros(len(expected), dtype=bool)
+    mask[alive] = True
+    rows = dict(zip(alive.tolist(), out.tolist()))
+    for i, want in enumerate(expected):
         if want is None:
-            assert not is_alive
+            assert not mask[i]
         else:
-            assert is_alive and tuple(row) == want
+            assert mask[i] and tuple(rows[i]) == want
     assert counter.tuples_touched == row_counter.tuples_touched
     assert sum(step_alive) == counter.tuples_touched
     return mask, step_alive
@@ -171,14 +174,16 @@ def test_pipeline_block_bit_identity(seed):
     # Mix in out-of-range codes: they must dangle at the first step.
     block = rng.integers(0, 24, size=(64, 1), dtype=np.int64)
     _run_against_row_loop(plan, block)
-    # Every written cell, dead rows included, is per-row deterministic
-    # (row-independent execution): split runs rebuild the block.
-    whole, _ = plan.execute_batch_ndarray(block)
-    halves = [
-        plan.execute_batch_ndarray(part)[0]
-        for part in (block[:29], block[29:])
-    ]
-    assert np.array_equal(whole, np.concatenate(halves))
+    # Execution is row-independent: split runs rebuild the surviving
+    # rows and their input indexes.
+    whole, whole_alive = plan.execute_batch_ndarray(block)
+    (head, head_alive), (tail, tail_alive) = (
+        plan.execute_batch_ndarray(part) for part in (block[:29], block[29:])
+    )
+    assert np.array_equal(whole, np.concatenate((head, tail)))
+    assert np.array_equal(
+        whole_alive, np.concatenate((head_alive, tail_alive + 29))
+    )
 
 
 def test_lone_dense_step_with_holes_matches_row_loop():

@@ -4,7 +4,8 @@ Satellite coverage for the ndarray-frontier PR:
 
 * **Block vocabulary** — row/column/block round trips, the lexicographic
   void view (multi-attribute keys sort and compare like their tuples),
-  and ``block_isin`` membership against Python-set ground truth.
+  and ``block_isin`` membership against Python-set ground truth, with
+  the table branch pinned to searchsorted on every structure kind.
 * **Executor choice** — frontier size picks the executor, and the
   row-threshold override holds for its own context only.
 * **Backend equivalence** — every engine's ``tuples_touched`` is
@@ -26,9 +27,11 @@ from __future__ import annotations
 import random
 import threading
 from contextvars import copy_context
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from differential import (
     ENGINES,
@@ -61,9 +64,9 @@ def test_block_round_trip_and_mask_alignment():
     rows = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
     block = frontier.rows_to_block(rows, 3)
     assert block.shape == (3, 3)
-    assert block_rows(block, None) == rows
-    mask = np.array([True, False, True])
-    assert block_rows(block, mask) == [rows[0], None, rows[2]]
+    assert block_rows(block, np.arange(3), 3) == rows
+    alive = np.array([0, 2])
+    assert block_rows(block[alive], alive, 3) == [rows[0], None, rows[2]]
     # Non-rectangular / non-int frontiers refuse (callers fall back).
     assert frontier.rows_to_block([(1, 2), (3,)], 2) is None
     assert frontier.rows_to_block([("a", 1)], 2) is None
@@ -92,6 +95,81 @@ def test_block_isin_matches_set_membership(width):
     )
     truth = set(stored)
     assert [bool(h) for h in hits] == [p in truth for p in probes]
+
+
+@st.composite
+def membership_cases(draw):
+    """A key structure of every kind over dense or sparse key ranges,
+    and probes: stored keys, near misses, and components far above
+    every radix (packed probes that pack to ``-1``)."""
+    structure = draw(st.sampled_from(["int", "packed", "void", "empty"]))
+    width = 1 if structure == "int" else draw(
+        st.integers(2, 3) if structure != "empty" else st.integers(1, 3)
+    )
+    # Sparse ranges put keys up to 10**6 apart: far beyond 6x the counts,
+    # so membership binary-searches; dense ones fit the table.
+    high = draw(st.sampled_from([7, 10 ** 6]))
+    code = st.integers(0, high)
+    n_keys = 0 if structure == "empty" else draw(
+        st.sampled_from([1, draw(st.integers(1, 40))])
+    )
+    keys = draw(
+        st.lists(
+            st.tuples(*[code] * width), min_size=n_keys, max_size=n_keys
+        )
+    )
+    probe = st.tuples(*[st.integers(0, high + 2)] * width)
+    above = st.tuples(*[st.sampled_from([0, 1, high + 1, 2 ** 40])] * width)
+    options = [probe, above] + ([st.sampled_from(keys)] if keys else [])
+    probes = draw(st.lists(st.one_of(*options), max_size=60))
+    return structure, width, keys, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_block_isin_table_matches_searchsorted(case):
+    """Table membership ≡ searchsorted membership ≡ set membership, on
+    every structure kind, key range, key count and probe."""
+    structure, width, keys, probes = case
+    radixes = (lambda block: None) if structure == "void" else (
+        frontier._pack_radixes
+    )
+    with mock.patch.object(frontier, "_pack_radixes", radixes):
+        struct, _ = frontier.sorted_key_block(
+            np.array(keys, dtype=np.int64).reshape(-1, width)
+        )
+    assert struct[0] == structure
+    # The key sits behind a junk column, as plan outputs hold it.
+    block = np.array(
+        [(9,) + p for p in probes], dtype=np.int64
+    ).reshape(-1, width + 1)
+    positions = tuple(range(1, width + 1))
+    table = frontier.block_isin(block, positions, struct)
+    searched, _ = frontier.key_hits(
+        struct, [block[:, p] for p in positions]
+    )
+    truth = set(keys)
+    assert table.tolist() == searched.tolist() == [p in truth for p in probes]
+
+
+def test_block_isin_takes_the_table_on_dense_key_ranges(monkeypatch):
+    kinds = []
+    isin = np.isin
+
+    def spy(*args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return isin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isin", spy)
+    probes = np.arange(50, dtype=np.int64).reshape(-1, 1)
+    dense, _ = frontier.sorted_key_block(probes[::3])
+    assert frontier.block_isin(probes, (0,), dense).sum() == 17
+    assert kinds == ["table"]
+    sparse, _ = frontier.sorted_key_block(
+        np.array([[0], [10 ** 6]], dtype=np.int64)
+    )
+    assert frontier.block_isin(probes, (0,), sparse).sum() == 1
+    assert kinds == ["table"]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -200,7 +278,8 @@ def _all_backend_runs(plan, rows):
     counter = WorkCounter()
     block = frontier.rows_to_block(rows, len(plan.source_schema))
     outputs["ndarray"] = (
-        counter, block_rows(*plan.execute_batch_ndarray(block, counter))
+        counter,
+        block_rows(*plan.execute_batch_ndarray(block, counter), len(rows)),
     )
     counter = WorkCounter()
     outputs["scalar"] = (
@@ -511,7 +590,8 @@ def test_udf_steps_decode_only_masked_in_rows():
     rows = [(a_dict.encode(2),), (fresh,), (a_dict.encode(3),)]
     counter = WorkCounter()
     out = block_rows(
-        *plan.execute_batch_ndarray(frontier.rows_to_block(rows, 1), counter)
+        *plan.execute_batch_ndarray(frontier.rows_to_block(rows, 1), counter),
+        len(rows),
     )
     assert out[1] is None and out[0] is not None and out[2] is not None
     assert calls == [12, 13]  # the dangled row never reached the UDF

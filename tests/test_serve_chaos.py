@@ -306,7 +306,7 @@ def test_expired_deadline_stops_the_block_executor():
         with pytest.raises(QueryTimeout):
             plan.execute_batch_ndarray(block, WorkCounter())
     counter = WorkCounter()
-    out, mask = plan.execute_batch_ndarray(block, counter)
+    out, alive = plan.execute_batch_ndarray(block, counter)
     assert out.shape == (4096, 3)
-    assert mask is None or mask.all()
+    assert np.array_equal(alive, np.arange(4096))
     assert counter.tuples_touched == 4096
